@@ -35,9 +35,36 @@
 //! schedule time. The same inputs therefore produce the same event
 //! sequence, the same decisions, and — with an [`Obs`] attached — a
 //! byte-identical trace (`tests/determinism.rs`).
+//!
+//! **Hot path.** The per-event path does no hashing, takes no locks
+//! of its own and moves no payloads through the heap:
+//!
+//! * shape signatures are interned once (`submit_at` by content, a
+//!   [`LoadGen`]'s mixes when it is attached) into a `SigId`, which
+//!   jobs carry instead of an `Arc<[GemmShape]>`; the signature's
+//!   residency hash and operand footprint are computed at intern time;
+//! * predictions live in a dense `[signature][class]` table read by
+//!   the indexed scan, the exact scan and the steal check alike, and
+//!   the calibration version is checked once per decision;
+//! * device queues are a plain single-threaded FIFO with the locked
+//!   `BoundedQueue`'s exact semantics (Full reported before Closed);
+//! * timeline entries are 24-byte `(at, seq, key)` triples; jobs of
+//!   pending arrivals and placements sit in a slab, a running job in
+//!   its device's slot;
+//! * the placement index keeps one entry per device (an indexed
+//!   min-heap per class), and a landing re-homes operand residency in
+//!   one `PlanShare` lock round-trip.
+//!
+//! None of this changes a decision: the pop order is still
+//! `(SimTime, seq)`, each table cell holds the number the hash map
+//! held, and the checkpoint writes the same bytes (ids never reach the
+//! blob — shapes do). `tests/golden.rs` pins the simulated output and
+//! checkpoint hashes captured before the rewrite.
 
 use crate::cluster::{ClusterConfig, StealPolicy};
 use crate::drift::{GroundTruth, PlacementDecision};
+use crate::fifo::DeviceQueue;
+use crate::index::PlacementIndex;
 use crate::placer::{self, Candidate, LocalityPolicy};
 use crate::stats::{ClusterInner, ClusterStats, DeviceStats};
 use ctb_core::{
@@ -49,8 +76,8 @@ use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
 use ctb_obs::{Obs, ObsClock, PointKind, SimClock, SpanKind};
 use ctb_savestate::{Reader, SavestateError, Writer};
 use ctb_serve::{
-    BoundedQueue, Breaker, BreakerPolicy, FaultConfig, FaultInjector, FaultLog, FaultSite,
-    PushError, FAULT_SITES,
+    Breaker, BreakerPolicy, FaultConfig, FaultInjector, FaultLog, FaultSite, PushError,
+    FAULT_SITES,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -132,6 +159,12 @@ impl<E> Ord for Entry<E> {
 /// same instant pop in schedule order — FIFO among equals, which is
 /// what makes the engine's event order (and therefore its trace) a pure
 /// function of the inputs.
+///
+/// Entries are `(at, seq, ev)` and every sift moves whole entries, so
+/// `E` should be a small key, not a payload: the engine's `E` is an
+/// 8-byte event key (24-byte entries) whose payloads live outside the
+/// heap. Ordering ignores `E`, so the key's layout cannot change pop
+/// order.
 pub struct Timeline<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
@@ -222,14 +255,112 @@ impl<E> Timeline<E> {
 // Events + jobs
 // ---------------------------------------------------------------------------
 
+/// An interned shape signature: an index into the engine's
+/// [`SigTable`]. Interning is by content, so two requests with equal
+/// shapes carry equal ids — id equality is shape equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SigId(u32);
+
+impl SigId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What every placement of a signature needs, computed once at intern
+/// time instead of per request.
+struct SigInfo {
+    shapes: Arc<[GemmShape]>,
+    /// [`ctb_core::shape_sig_hash`] — the residency key.
+    hash: u64,
+    /// [`ctb_core::operand_bytes`] — the locality model's footprint.
+    op_bytes: u64,
+}
+
+/// One `(signature, arch class)` cell of the dense per-class tables.
+#[derive(Clone, Default)]
+struct SigClassCell {
+    /// Corrected predicted µs, or the planner's rejection (memoized so
+    /// a poisoned signature is not re-planned per device); `None` until
+    /// first asked for under the current calibration version.
+    pred: Option<Result<f64, String>>,
+    /// Raw (uncorrected) model prediction behind `pred`, kept for
+    /// [`PlacementDecision::model_us`].
+    model_us: Option<f64>,
+    /// Memoized true-arch time; only filled under a ground-truth pool.
+    /// Bypasses the SimMemo deliberately: drifted specs share names
+    /// with their nominal presets, so the memo's context key cannot
+    /// tell them apart.
+    actual_us: Option<f64>,
+}
+
+/// Interned signatures plus a dense `[signature][class]` table of
+/// predictions. After interning, a placement across the whole pool
+/// reads `classes` adjacent cells — no hashing, no locking, no `Arc`
+/// traffic. Ids are engine-local and never serialized: checkpoints
+/// write shapes, and a restore re-interns them.
+struct SigTable {
+    classes: usize,
+    info: Vec<SigInfo>,
+    ids: HashMap<Arc<[GemmShape]>, SigId>,
+    /// `cells[sig * classes + class]`.
+    cells: Vec<SigClassCell>,
+}
+
+impl SigTable {
+    fn new(classes: usize) -> Self {
+        SigTable { classes, info: Vec::new(), ids: HashMap::new(), cells: Vec::new() }
+    }
+
+    /// The id of `shapes`, interning them on first sight.
+    fn intern(&mut self, shapes: &Arc<[GemmShape]>) -> SigId {
+        if let Some(&id) = self.ids.get(shapes) {
+            return id;
+        }
+        let id = SigId(u32::try_from(self.info.len()).expect("fewer than 2^32 signatures"));
+        self.info.push(SigInfo {
+            shapes: Arc::clone(shapes),
+            hash: ctb_core::shape_sig_hash(shapes),
+            op_bytes: ctb_core::operand_bytes(shapes),
+        });
+        self.ids.insert(Arc::clone(shapes), id);
+        self.cells.resize(self.cells.len() + self.classes, SigClassCell::default());
+        id
+    }
+
+    fn info(&self, id: SigId) -> &SigInfo {
+        &self.info[id.index()]
+    }
+
+    fn shapes(&self, id: SigId) -> &Arc<[GemmShape]> {
+        &self.info[id.index()].shapes
+    }
+
+    fn cell(&self, id: SigId, class: usize) -> &SigClassCell {
+        &self.cells[id.index() * self.classes + class]
+    }
+
+    fn cell_mut(&mut self, id: SigId, class: usize) -> &mut SigClassCell {
+        &mut self.cells[id.index() * self.classes + class]
+    }
+
+    /// Forget every cached prediction (a calibration install changed
+    /// the correction they include).
+    fn clear_predictions(&mut self) {
+        for c in &mut self.cells {
+            c.pred = None;
+        }
+    }
+}
+
 /// One request in flight inside the event engine. Unlike the threaded
-/// `ClusterJob` it carries no matrices — only the shape signature the
-/// cost model needs — unless it is a witness (see module docs), in
-/// which case the matrices are rebuilt from `seed` at execution time.
-#[derive(Clone)]
+/// `ClusterJob` it carries no matrices — only its interned shape
+/// signature — unless it is a witness (see module docs), in which case
+/// the matrices are rebuilt from `seed` at execution time.
+#[derive(Clone, Copy)]
 struct EvJob {
     id: u64,
-    shapes: Arc<[GemmShape]>,
+    sig: SigId,
     /// Data seed a witness materializes its matrices from.
     seed: u64,
     arrived: SimTime,
@@ -242,22 +373,74 @@ struct EvJob {
     witness: bool,
 }
 
+/// Slab index of a job waiting on the timeline.
+#[derive(Debug, Clone, Copy)]
+struct JobSlot(u32);
+
+/// Payload store for the jobs of pending `Arrive`/`PlaceDone` events,
+/// so timeline entries stay small keys. Freed slots are reused.
+#[derive(Default)]
+struct JobSlab {
+    slots: Vec<Option<EvJob>>,
+    free: Vec<u32>,
+}
+
+impl JobSlab {
+    fn insert(&mut self, job: EvJob) -> JobSlot {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(job);
+                JobSlot(i)
+            }
+            None => {
+                let i = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending jobs");
+                self.slots.push(Some(job));
+                JobSlot(i)
+            }
+        }
+    }
+
+    fn get(&self, slot: JobSlot) -> &EvJob {
+        self.slots[slot.0 as usize].as_ref().expect("timeline key names a live job slot")
+    }
+
+    fn take(&mut self, slot: JobSlot) -> EvJob {
+        let job = self.slots[slot.0 as usize].take().expect("timeline key names a live job slot");
+        self.free.push(slot.0);
+        job
+    }
+}
+
 /// The fixed event vocabulary. Everything the threaded engine does with
 /// threads — queue polling, steal polling, breaker healing, kill drains
-/// — maps onto one of these six slots.
+/// — maps onto one of these six kinds. Each is an 8-byte key: a job
+/// lives in the [`JobSlab`], a running job in its device's `running`
+/// slot, and the steal/probe kinds need only the device id (their
+/// one-pending-at-a-time flags live on the device).
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A request enters the system (admission + placement kickoff).
-    Arrive { job: EvJob },
-    /// A placement attempt for `job` runs now (initial or backoff retry).
-    PlaceDone { job: EvJob },
+    Arrive(JobSlot),
+    /// A placement attempt for the job runs now (initial or backoff
+    /// retry).
+    PlaceDone(JobSlot),
     /// The device's currently running job finishes now.
-    ExecDone { device: usize },
+    ExecDone(u32),
     /// An idle device looks for a saturated victim to steal from.
-    StealCheck { device: usize },
+    StealCheck(u32),
     /// Post-trip healing probe: re-kick a recovered idle device.
-    BreakerProbe { device: usize },
+    BreakerProbe(u32),
     /// Scheduled device failure (chaos schedules).
-    DeviceKill { device: usize },
+    DeviceKill(u32),
+}
+
+// The layout the timeline docs promise: 8-byte keys, 24-byte entries.
+const _: () = assert!(std::mem::size_of::<Ev>() == 8);
+const _: () = assert!(std::mem::size_of::<Reverse<Entry<Ev>>>() == 24);
+
+/// Timeline key for a device-addressed event.
+fn dev_key(device: usize) -> u32 {
+    u32::try_from(device).expect("device ids fit in u32")
 }
 
 /// What the fault dice decided a running job's end will look like. The
@@ -281,11 +464,13 @@ struct Running {
 /// One simulated GPU in the event engine: the same parts as the
 /// threaded `Device` (session, bounded queue, breaker, optional chaos
 /// schedule) minus the worker threads — plain fields instead of
-/// atomics, because exactly one event handler touches them at a time.
+/// atomics, and a plain [`DeviceQueue`] instead of the locked
+/// `BoundedQueue`, because exactly one event handler touches them at a
+/// time.
 struct EvDevice {
     id: usize,
     session: Arc<Session>,
-    queue: BoundedQueue<EvJob>,
+    queue: DeviceQueue<EvJob>,
     running: Option<Running>,
     /// Predicted µs of work queued or running here. Same f64
     /// add/subtract discipline as the threaded `AtomicF64` backlog, so
@@ -479,8 +664,8 @@ impl LoadGen {
     }
 
     /// Draw the next request: `(inter-arrival ns since the previous
-    /// arrival, shape signature, data seed)`.
-    fn next(&mut self) -> Option<(u64, Arc<[GemmShape]>, u64)> {
+    /// arrival, index of the drawn mix, data seed)`.
+    fn next(&mut self) -> Option<(u64, usize, u64)> {
         if self.remaining == 0 {
             return None;
         }
@@ -489,21 +674,23 @@ impl LoadGen {
         self.drawn += 1;
         let h_mix = mix(self.seed ^ 0xA076_1D64_78BD_642F ^ n.wrapping_mul(0xE703_7ED1_A0B4_28DB));
         let pick = h_mix % self.total_weight;
+        // Zero-weight-only mixes (total weight clamped to 1) fall back
+        // to the first mix.
         let mut acc = 0u64;
-        let mut shapes = self.mixes[0].shapes.clone();
-        for m in &self.mixes {
-            acc += m.weight as u64;
-            if pick < acc {
-                shapes = m.shapes.clone();
-                break;
-            }
-        }
+        let class = self
+            .mixes
+            .iter()
+            .position(|m| {
+                acc += m.weight as u64;
+                pick < acc
+            })
+            .unwrap_or(0);
         // Exponential inter-arrival: invert a uniform draw built from
         // the hash's top 53 bits (offset half a ULP so ln never sees 0).
         let h_dt = mix(self.seed ^ 0x8EBC_6AF0_9C88_C6E3 ^ n.wrapping_mul(0x5899_65CC_7537_4CC3));
         let u = ((h_dt >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
         let dt = (-u.ln() * self.mean_interarrival_ns).round().max(1.0) as u64;
-        Some((dt, shapes, mix(self.seed ^ n)))
+        Some((dt, class, mix(self.seed ^ n)))
     }
 }
 
@@ -557,14 +744,15 @@ pub struct EngineReport {
 struct PlaceFail {
     job: EvJob,
     any_full: bool,
-    plan_err: Option<String>,
+    /// Some arch class's planner rejected the shapes.
+    plan_rejected: bool,
 }
 
 /// Outcome of the indexed fast path.
 enum IndexedPlace {
     Placed(usize),
     /// No live device bid (all dead or every class failed to plan).
-    NoCandidate { job: EvJob, plan_err: Option<String> },
+    NoCandidate { job: EvJob, plan_rejected: bool },
     /// Best queue was full — retry with the exact spill-down scan.
     Fallback(EvJob),
 }
@@ -577,32 +765,31 @@ enum IndexedPlace {
 /// enqueue work ([`submit_at`](Self::submit_at) / [`load`](Self::load)
 /// / [`kill_at`](Self::kill_at)), then [`run`](Self::run) the timeline
 /// to exhaustion.
-/// `(arch class name, shape signature) → predicted µs` (or the
-/// planner's rejection, memoized so a poisoned signature is not
-/// re-planned per device).
-type PredictionCache = HashMap<(&'static str, Arc<[GemmShape]>), Result<f64, String>>;
-
 pub struct EventCluster {
     cfg: EventConfig,
     devices: Vec<EvDevice>,
     share: Arc<PlanShare>,
     timeline: Timeline<Ev>,
+    /// Jobs of pending `Arrive`/`PlaceDone` events.
+    jobs: JobSlab,
     obs: Option<Arc<Obs>>,
     clock: Option<Arc<SimClock>>,
     stats: ClusterInner,
     outcomes: Vec<ReqOutcome>,
-    /// Engine-level prediction cache: one `session.plan` +
-    /// `simulate_solution` per (arch class, shape signature); after
-    /// that a placement across 10k devices costs `classes` hash
-    /// lookups, not `devices` planner calls.
-    predictions: PredictionCache,
+    /// Interned signatures and the engine-level prediction cache: one
+    /// `session.plan` + `simulate_solution` per (arch class, shape
+    /// signature); after that a placement across 10k devices reads
+    /// `classes` table cells, not `devices` planner calls.
+    sigs: SigTable,
     /// Device → arch-class index, and one representative device per
     /// class (predictions are identical within a class).
     class_of: Vec<usize>,
     class_rep: Vec<usize>,
-    /// Per-class lazy min-heaps over `(backlog bits, device)`; stale
-    /// entries are discarded by value on peek.
-    index: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
+    /// Per-class indexed min-heaps over `(backlog bits, device)`, one
+    /// entry per device. An entry is the device's backlog as of its
+    /// last touch; a head whose device died or whose backlog has since
+    /// moved is dropped on peek.
+    index: PlacementIndex,
     /// Sticky: once any breaker trips, placement falls back to the
     /// exact scan so the open-window sidelining semantics stay
     /// bit-for-bit with the threaded engine.
@@ -613,6 +800,8 @@ pub struct EventCluster {
     /// residency penalty.
     has_chiplets: bool,
     gen: Option<LoadGen>,
+    /// Interned signature of each of `gen`'s mixes, in mix order.
+    gen_sigs: Vec<SigId>,
     now: SimTime,
     next_job_id: u64,
     events_processed: u64,
@@ -629,20 +818,11 @@ pub struct EventCluster {
     /// zero by construction. Never serialized — ground-truth runs
     /// refuse to checkpoint.
     ground_truth: Option<GroundTruth>,
-    /// Memoized true-arch execution time per (class name, signature);
-    /// only populated under a ground-truth pool. Bypasses the SimMemo
-    /// deliberately: drifted specs share names with their nominal
-    /// presets, so the memo's context key cannot tell them apart.
-    actuals: HashMap<(&'static str, Arc<[GemmShape]>), f64>,
-    /// Raw (uncorrected) model prediction per (class name, signature) —
-    /// what `predictions` held before the installed correction was
-    /// applied; kept for [`PlacementDecision::model_us`].
-    model_us: HashMap<(&'static str, Arc<[GemmShape]>), f64>,
     /// When `Some`, completions append a [`PlacementDecision`]
     /// ([`EventCluster::record_decisions`]). Never serialized.
     decisions: Option<Vec<PlacementDecision>>,
     /// Calibration-handle version the prediction cache was computed
-    /// under; a mismatch on lookup clears the cache.
+    /// under; a mismatch, checked once per placement, clears the cache.
     calib_version: u64,
     /// Device sessions run [`BatchingPolicy::Swappable`]
     /// ([`EventCluster::swappable`]). Never serialized — the blob
@@ -753,7 +933,7 @@ impl EventCluster {
                 EvDevice {
                     id,
                     session,
-                    queue: BoundedQueue::new(cfg.queue_capacity),
+                    queue: DeviceQueue::new(cfg.queue_capacity),
                     running: None,
                     backlog_us: 0.0,
                     busy_sim_us: 0.0,
@@ -772,10 +952,9 @@ impl EventCluster {
             .collect();
         // Seed every class heap with the all-idle state so the indexed
         // path sees the whole pool from the first placement.
-        let mut index: Vec<BinaryHeap<Reverse<(u64, usize)>>> =
-            (0..class_rep.len()).map(|_| BinaryHeap::new()).collect();
+        let mut index = PlacementIndex::new(class_rep.len(), devices.len());
         for (id, class) in class_of.iter().enumerate() {
-            index[*class].push(Reverse((0u64, id)));
+            index.set(*class, id, 0.0f64.to_bits());
         }
         let has_chiplets = devices.iter().any(|d| !d.arch().topology.is_unified());
         EventCluster {
@@ -783,17 +962,19 @@ impl EventCluster {
             devices,
             share,
             timeline: Timeline::new(),
+            jobs: JobSlab::default(),
             obs,
             clock,
             stats: ClusterInner::default(),
             outcomes: Vec::new(),
-            predictions: HashMap::new(),
+            sigs: SigTable::new(class_rep.len()),
             class_of,
             class_rep,
             index,
             breaker_active: false,
             has_chiplets,
             gen: None,
+            gen_sigs: Vec::new(),
             now: SimTime::ZERO,
             next_job_id: 0,
             events_processed: 0,
@@ -803,8 +984,6 @@ impl EventCluster {
             pending_arrivals: 0,
             open_jobs: 0,
             ground_truth: None,
-            actuals: HashMap::new(),
-            model_us: HashMap::new(),
             decisions: None,
             calib_version: 0,
             swappable,
@@ -843,12 +1022,17 @@ impl EventCluster {
 
     /// Schedule one request to arrive at `at`. Returns its job id.
     pub fn submit_at(&mut self, at: SimTime, shapes: Arc<[GemmShape]>, seed: u64) -> u64 {
+        let sig = self.sigs.intern(&shapes);
+        self.submit_sig(at, sig, seed)
+    }
+
+    fn submit_sig(&mut self, at: SimTime, sig: SigId, seed: u64) -> u64 {
         let id = self.next_job_id;
         self.next_job_id += 1;
         let witness = self.is_witness(id);
         let job = EvJob {
             id,
-            shapes,
+            sig,
             seed,
             arrived: at,
             predicted_us: 0.0,
@@ -856,27 +1040,38 @@ impl EventCluster {
             stolen: false,
             witness,
         };
-        self.pending_arrivals += 1;
-        self.timeline.schedule(at, Ev::Arrive { job });
+        self.schedule_arrival(at, job);
         id
+    }
+
+    fn schedule_arrival(&mut self, at: SimTime, job: EvJob) {
+        self.pending_arrivals += 1;
+        let slot = self.jobs.insert(job);
+        self.timeline.schedule(at, Ev::Arrive(slot));
     }
 
     /// Schedule a device kill at `at` (chaos schedules / sweeps).
     pub fn kill_at(&mut self, at: SimTime, device: usize) {
         assert!(device < self.devices.len(), "no such device");
-        self.timeline.schedule(at, Ev::DeviceKill { device });
+        self.timeline.schedule(at, Ev::DeviceKill(dev_key(device)));
     }
 
-    /// Attach an open-loop load. Its first arrival is scheduled
-    /// relative to the current sim time, and each processed arrival
-    /// schedules the next — the heap never holds more than one pending
-    /// generated arrival.
-    pub fn load(&mut self, mut gen: LoadGen) {
-        if let Some((dt, shapes, seed)) = gen.next() {
-            let at = self.now.plus(dt);
-            self.submit_at(at, shapes, seed);
-        }
+    /// Attach an open-loop load. Its mixes are interned up front, its
+    /// first arrival is scheduled relative to the current sim time, and
+    /// each processed arrival schedules the next — the heap never holds
+    /// more than one pending generated arrival.
+    pub fn load(&mut self, gen: LoadGen) {
+        self.gen_sigs = gen.mixes.iter().map(|m| self.sigs.intern(&m.shapes)).collect();
         self.gen = Some(gen);
+        self.next_generated_arrival();
+    }
+
+    /// Draw the load's next request, if any, and schedule its arrival.
+    fn next_generated_arrival(&mut self) {
+        if let Some((dt, class, seed)) = self.gen.as_mut().and_then(LoadGen::next) {
+            let at = self.now.plus(dt);
+            self.submit_sig(at, self.gen_sigs[class], seed);
+        }
     }
 
     fn is_witness(&self, id: u64) -> bool {
@@ -976,35 +1171,32 @@ impl EventCluster {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrive { job } => self.on_arrive(job),
-            Ev::PlaceDone { job } => self.on_place(job),
-            Ev::ExecDone { device } => self.on_exec_done(device),
-            Ev::StealCheck { device } => self.on_steal_check(device),
-            Ev::BreakerProbe { device } => self.on_breaker_probe(device),
-            Ev::DeviceKill { device } => self.on_kill(device),
+            Ev::Arrive(slot) => self.on_arrive(slot),
+            Ev::PlaceDone(slot) => {
+                let job = self.jobs.take(slot);
+                self.on_place(job)
+            }
+            Ev::ExecDone(device) => self.on_exec_done(device as usize),
+            Ev::StealCheck(device) => self.on_steal_check(device as usize),
+            Ev::BreakerProbe(device) => self.on_breaker_probe(device as usize),
+            Ev::DeviceKill(device) => self.on_kill(device as usize),
         }
     }
 
-    fn on_arrive(&mut self, job: EvJob) {
+    fn on_arrive(&mut self, slot: JobSlot) {
         self.pending_arrivals -= 1;
         self.open_jobs += 1;
         self.requests += 1;
         // Admit is traced before placement, mirroring the threaded
         // submit path's ordering contract.
         if let Some(o) = self.obs() {
-            o.point(PointKind::Admit { req: job.id });
+            o.point(PointKind::Admit { req: self.jobs.get(slot).id });
         }
         // Keep the open-loop source primed: one pending generated
         // arrival at a time.
-        if let Some(mut gen) = self.gen.take() {
-            let next = gen.next();
-            self.gen = Some(gen);
-            if let Some((dt, shapes, seed)) = next {
-                let at = self.now.plus(dt);
-                self.submit_at(at, shapes, seed);
-            }
-        }
-        self.timeline.schedule(self.now, Ev::PlaceDone { job });
+        self.next_generated_arrival();
+        // The job keeps its slab slot into the placement event.
+        self.timeline.schedule(self.now, Ev::PlaceDone(slot));
     }
 
     fn on_place(&mut self, job: EvJob) {
@@ -1018,10 +1210,11 @@ impl EventCluster {
                 // Backpressure: every candidate queue is full. The
                 // threaded submit loop sleeps 50 µs and retries; we
                 // reschedule the placement the same distance out.
-                self.timeline.schedule(self.now.plus(BACKOFF_NS), Ev::PlaceDone { job: fail.job });
+                let slot = self.jobs.insert(fail.job);
+                self.timeline.schedule(self.now.plus(BACKOFF_NS), Ev::PlaceDone(slot));
             }
             Err(fail) => {
-                if fail.plan_err.is_some() {
+                if fail.plan_rejected {
                     if let Some(o) = self.obs() {
                         o.point(PointKind::Reject { req: Some(id) });
                     }
@@ -1087,7 +1280,7 @@ impl EventCluster {
             // Still serving the open window: probe again later.
             if self.work_pending() {
                 self.devices[device].probe_pending = true;
-                self.timeline.schedule(self.now.plus(PROBE_NS), Ev::BreakerProbe { device });
+                self.timeline.schedule(self.now.plus(PROBE_NS), Ev::BreakerProbe(dev_key(device)));
             }
             return;
         }
@@ -1113,45 +1306,57 @@ impl EventCluster {
 
     // -- placement --------------------------------------------------------
 
-    /// Memoized prediction for `shapes` on device `dev_idx`'s arch
-    /// class — the same plan + `simulate_solution` number the threaded
-    /// `predict_us` computes, shared across all devices of the class.
-    fn predict_cached(&mut self, dev_idx: usize, shapes: &Arc<[GemmShape]>) -> Result<f64, String> {
-        // Cached values include the installed correction, so a profile
-        // install (version bump on the share's CalibHandle) invalidates
-        // the whole cache.
+    /// Drop the prediction cache when the share's calibration handle
+    /// moved: cached values include the installed correction, so a
+    /// profile install (version bump) invalidates all of them. Checked
+    /// once per placement or steal decision, not per lookup.
+    fn sync_calib(&mut self) {
         let version = self.share.calib().version();
         if version != self.calib_version {
-            self.predictions.clear();
+            self.sigs.clear_predictions();
             self.calib_version = version;
         }
-        let class = self.class_of[dev_idx];
+    }
+
+    /// Memoized prediction for `sig` on arch class `class` — the same
+    /// plan + `simulate_solution` number the threaded `predict_us`
+    /// computes, shared across all devices of the class. `None` when
+    /// the class's planner rejects the shapes.
+    fn predict(&mut self, sig: SigId, class: usize) -> Option<f64> {
+        match &self.sigs.cell(sig, class).pred {
+            Some(Ok(us)) => Some(*us),
+            Some(Err(_)) => None,
+            None => self.compute_prediction(sig, class),
+        }
+    }
+
+    #[cold]
+    fn compute_prediction(&mut self, sig: SigId, class: usize) -> Option<f64> {
         let rep = self.class_rep[class];
         let name = self.devices[rep].arch().name;
-        if let Some(r) = self.predictions.get(&(name, Arc::clone(shapes))) {
-            return r.clone();
-        }
+        let shapes = Arc::clone(self.sigs.shapes(sig));
         let session = &self.devices[rep].session;
-        let raw = session.plan(shapes).map(|plan| {
+        let raw = session.plan(&shapes).map(|plan| {
             let fw = session.framework();
             session.sim_memo().simulate_solution(
                 fw.arch(),
-                shapes,
+                &shapes,
                 &plan.solution,
                 plan.heuristic,
                 fw.thresholds(),
             )
         });
-        let r = match raw {
+        let pred = match raw {
             Ok(model) => {
-                self.model_us.insert((name, Arc::clone(shapes)), model);
+                self.sigs.cell_mut(sig, class).model_us = Some(model);
                 // Identity state (version 0) returns `model` bit-for-bit.
-                Ok(self.share.calib().correct(name, model, &ctb_core::selector::features(shapes)))
+                Ok(self.share.calib().correct(name, model, &ctb_core::selector::features(&shapes)))
             }
             Err(e) => Err(e),
         };
-        self.predictions.insert((name, Arc::clone(shapes)), r.clone());
-        r
+        let out = pred.as_ref().ok().copied();
+        self.sigs.cell_mut(sig, class).pred = Some(pred);
+        out
     }
 
     fn use_index(&self, exclude: Option<usize>) -> bool {
@@ -1177,12 +1382,16 @@ impl EventCluster {
         self.devices[device].backlog().to_bits()
     }
 
-    /// Record `device`'s current backlog in its class heap (lazy
-    /// invalidation: older entries for the device go stale by value).
+    /// Re-key `device` in its class index at its current backlog; a
+    /// dead device leaves the index for good.
     fn index_touch(&mut self, device: usize) {
         let class = self.class_of[device];
-        let key = self.index_key(device);
-        self.index[class].push(Reverse((key, device)));
+        if self.devices[device].alive {
+            let key = self.index_key(device);
+            self.index.set(class, device, key);
+        } else {
+            self.index.remove(class, device);
+        }
     }
 
     /// One placement attempt. The exact path mirrors the threaded
@@ -1190,16 +1399,12 @@ impl EventCluster {
     /// scan with per-class argmins, which pick the same device whenever
     /// no breaker is open and the best queue is not full — and fall
     /// back to the exact scan otherwise. Returns the placed-on device.
-    fn place_attempt(
-        &mut self,
-        job: EvJob,
-        exclude: Option<usize>,
-    ) -> Result<usize, Box<PlaceFail>> {
+    fn place_attempt(&mut self, job: EvJob, exclude: Option<usize>) -> Result<usize, PlaceFail> {
         if self.use_index(exclude) {
             match self.place_indexed(job) {
                 IndexedPlace::Placed(d) => return Ok(d),
-                IndexedPlace::NoCandidate { job, plan_err } => {
-                    return Err(Box::new(PlaceFail { job, any_full: false, plan_err }))
+                IndexedPlace::NoCandidate { job, plan_rejected } => {
+                    return Err(PlaceFail { job, any_full: false, plan_rejected })
                 }
                 IndexedPlace::Fallback(job) => return self.place_exact(job, exclude),
             }
@@ -1214,29 +1419,24 @@ impl EventCluster {
     fn place_indexed(&mut self, mut job: EvJob) -> IndexedPlace {
         let obs_arc = self.obs.clone();
         let _place = obs_arc.as_ref().map(|o| o.span(SpanKind::Place));
-        let shapes = job.shapes.clone();
-        let sig = ctb_core::shape_sig_hash(&shapes);
-        let op_bytes = ctb_core::operand_bytes(&shapes);
-        let mut plan_err: Option<String> = None;
+        self.sync_calib();
+        let mut plan_rejected = false;
         let mut best: Option<Candidate> = None;
         for class in 0..self.class_rep.len() {
-            let rep = self.class_rep[class];
-            let predicted_us = match self.predict_cached(rep, &shapes) {
-                Ok(v) => v,
-                Err(m) => {
-                    plan_err = Some(m);
-                    continue;
-                }
+            let Some(predicted_us) = self.predict(job.sig, class) else {
+                plan_rejected = true;
+                continue;
             };
-            // Discard stale heads, then peek the class argmin.
+            // Drop a head whose device died or whose backlog moved
+            // since its last touch, then peek the class argmin.
             let head = loop {
-                let Some(&Reverse((key, device))) = self.index[class].peek() else {
+                let Some((key, device)) = self.index.peek(class) else {
                     break None;
                 };
                 if self.devices[device].alive && self.index_key(device) == key {
                     break Some((key, device));
                 }
-                self.index[class].pop();
+                self.index.remove(class, device);
             };
             let Some((key, device)) = head else { continue };
             // `use_index` keeps this path off locality-relevant pools,
@@ -1256,13 +1456,13 @@ impl EventCluster {
             }
         }
         let Some(c) = best else {
-            return IndexedPlace::NoCandidate { job, plan_err };
+            return IndexedPlace::NoCandidate { job, plan_rejected };
         };
         job.predicted_us = c.predicted_us;
         self.devices[c.device].backlog_us += c.predicted_us;
         match self.devices[c.device].queue.try_push(job) {
             Ok(()) => {
-                self.finish_placement(c.device, sig, op_bytes);
+                self.finish_placement(c.device, job.sig);
                 IndexedPlace::Placed(c.device)
             }
             Err((_kind, j)) => {
@@ -1273,40 +1473,38 @@ impl EventCluster {
     }
 
     /// The exact scan — a line-for-line mirror of the threaded
-    /// `try_place`, with predictions served from the class cache.
-    fn place_exact(
-        &mut self,
-        mut job: EvJob,
-        exclude: Option<usize>,
-    ) -> Result<usize, Box<PlaceFail>> {
+    /// `try_place`, with predictions served from the class table.
+    fn place_exact(&mut self, mut job: EvJob, exclude: Option<usize>) -> Result<usize, PlaceFail> {
         let obs_arc = self.obs.clone();
         let _place = obs_arc.as_ref().map(|o| o.span(SpanKind::Place));
-        let shapes = job.shapes.clone();
+        self.sync_calib();
         // One residency snapshot per placement slate, read before any
         // candidate is scored — the same read-once discipline as the
         // threaded `try_place`, so both engines rank from identical
-        // residency state.
-        let sig = ctb_core::shape_sig_hash(&shapes);
-        let op_bytes = ctb_core::operand_bytes(&shapes);
-        let home = self.share.residency_of(sig);
+        // residency state. Only the locality penalty reads it, and a
+        // blind policy never does.
+        let info = self.sigs.info(job.sig);
+        let (sig_hash, op_bytes) = (info.hash, info.op_bytes);
+        let home =
+            if self.cfg.locality.enabled { self.share.residency_of(sig_hash) } else { None };
         let mut candidates = Vec::with_capacity(self.devices.len());
-        let mut plan_err = None;
+        let mut plan_rejected = false;
         for i in 0..self.devices.len() {
             if Some(i) == exclude || !self.devices[i].alive {
                 continue;
             }
-            match self.predict_cached(i, &shapes) {
-                Ok(predicted_us) => candidates.push(Candidate {
+            match self.predict(job.sig, self.class_of[i]) {
+                Some(predicted_us) => candidates.push(Candidate {
                     device: i,
                     backlog_us: self.devices[i].backlog(),
                     predicted_us,
                     penalty_us: self.locality_penalty(i, home, op_bytes),
                 }),
-                Err(m) => plan_err = Some(m),
+                None => plan_rejected = true,
             }
         }
         if candidates.is_empty() {
-            return Err(Box::new(PlaceFail { job, any_full: false, plan_err }));
+            return Err(PlaceFail { job, any_full: false, plan_rejected });
         }
         let all_open = candidates.iter().all(|c| self.devices[c.device].breaker.is_open());
         let candidates = placer::rank(candidates);
@@ -1319,7 +1517,7 @@ impl EventCluster {
             self.devices[c.device].backlog_us += c.predicted_us;
             match self.devices[c.device].queue.try_push(job) {
                 Ok(()) => {
-                    self.finish_placement(c.device, sig, op_bytes);
+                    self.finish_placement(c.device, job.sig);
                     return Ok(c.device);
                 }
                 Err((kind, j)) => {
@@ -1329,16 +1527,16 @@ impl EventCluster {
                 }
             }
         }
-        Err(Box::new(PlaceFail { job, any_full, plan_err: None }))
+        Err(PlaceFail { job, any_full, plan_rejected: false })
     }
 
-    fn finish_placement(&mut self, device: usize, sig: u64, op_bytes: u64) {
+    fn finish_placement(&mut self, device: usize, sig: SigId) {
         self.devices[device].placements += 1;
         self.stats.routed.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.obs() {
             o.point(PointKind::Routed { device });
         }
-        self.account_residency(device, sig, op_bytes);
+        self.account_residency(device, sig);
         self.index_touch(device);
     }
 
@@ -1361,11 +1559,16 @@ impl EventCluster {
     /// Residency accounting at a landing (placement or steal): hit when
     /// the batch's operands already live on `device`, otherwise a miss
     /// that charges the remote share of the operand bytes and re-homes
-    /// the signature on `device` (last writer wins). Runs under aware
-    /// *and* blind policies — the bench arms differ only in ranking.
-    fn account_residency(&mut self, device: usize, sig: u64, op_bytes: u64) {
+    /// the signature on `device` (last writer wins) — one
+    /// [`PlanShare::rehome_residency`] round-trip either way. Runs under
+    /// aware *and* blind policies — the bench arms differ only in
+    /// ranking.
+    fn account_residency(&mut self, device: usize, sig: SigId) {
+        let info = self.sigs.info(sig);
+        let (sig_hash, op_bytes) = (info.hash, info.op_bytes);
         let topo = self.devices[device].arch().topology;
-        if self.share.residency_of(sig).is_some_and(|h| h.device == device) {
+        let home = OperandHome { device, chiplet: topo.home_chiplet(sig_hash) };
+        if self.share.rehome_residency(sig_hash, home).is_some_and(|h| h.device == device) {
             self.stats.residency_hits.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = self.obs() {
                 o.point(PointKind::ResidencyHit { device });
@@ -1379,7 +1582,6 @@ impl EventCluster {
         if let Some(o) = self.obs() {
             o.point(PointKind::ResidencyMiss { device });
         }
-        self.share.note_residency(sig, OperandHome { device, chiplet: topo.home_chiplet(sig) });
     }
 
     // -- execution --------------------------------------------------------
@@ -1389,7 +1591,7 @@ impl EventCluster {
         if self.devices[device].running.is_some() {
             return;
         }
-        let Some(job) = self.devices[device].queue.try_pop() else {
+        let Some(job) = self.devices[device].queue.pop() else {
             return;
         };
         self.start_job(device, job);
@@ -1429,7 +1631,7 @@ impl EventCluster {
         };
         let done = self.now.plus(stall_ns + exec_ns);
         self.devices[device].running = Some(Running { job, fate });
-        self.timeline.schedule(done, Ev::ExecDone { device });
+        self.timeline.schedule(done, Ev::ExecDone(dev_key(device)));
     }
 
     /// The simulated time a completing job occupies `device`: the
@@ -1440,7 +1642,7 @@ impl EventCluster {
         if self.ground_truth.is_none() {
             return job.predicted_us;
         }
-        self.actual_us(device, &job.shapes)
+        self.actual_us(device, job.sig)
     }
 
     /// Memoized "what the true silicon takes" for `shapes` on
@@ -1449,22 +1651,22 @@ impl EventCluster {
     /// context key is the arch name and so cannot distinguish nominal
     /// from drifted. Classes the pool does not drift charge the nominal
     /// simulation (the model is their truth).
-    fn actual_us(&mut self, device: usize, shapes: &Arc<[GemmShape]>) -> f64 {
+    fn actual_us(&mut self, device: usize, sig: SigId) -> f64 {
         let class = self.class_of[device];
-        let rep = self.class_rep[class];
-        let name = self.devices[rep].arch().name;
-        if let Some(&us) = self.actuals.get(&(name, Arc::clone(shapes))) {
+        if let Some(us) = self.sigs.cell(sig, class).actual_us {
             return us;
         }
+        let rep = self.class_rep[class];
+        let name = self.devices[rep].arch().name;
         let plan = self.devices[rep]
             .session
-            .plan(shapes)
+            .plan(self.sigs.shapes(sig))
             .expect("ground-truth timing is only charged for placed jobs, whose plan is warm");
         let truth = self.ground_truth.as_ref().expect("checked by charged_us");
         let spec = truth.spec(name).unwrap_or_else(|| self.devices[rep].arch());
         let us =
             ctb_sim::simulate(spec, &ctb_sim::LaunchSequence::Single(plan.kernel.clone())).total_us;
-        self.actuals.insert((name, Arc::clone(shapes)), us);
+        self.sigs.cell_mut(sig, class).actual_us = Some(us);
         us
     }
 
@@ -1480,7 +1682,8 @@ impl EventCluster {
     fn complete_job(&mut self, device: usize, job: EvJob) {
         let model_time = if job.witness {
             self.witnesses += 1;
-            let batch = GemmBatch::random(&job.shapes, WITNESS_ALPHA, WITNESS_BETA, job.seed);
+            let batch =
+                GemmBatch::random(self.sigs.shapes(job.sig), WITNESS_ALPHA, WITNESS_BETA, job.seed);
             // Plan first (warm cache), then the Exec span — the same
             // span order the threaded worker produces.
             let plan = self.devices[device]
@@ -1505,22 +1708,18 @@ impl EventCluster {
             job.predicted_us
         };
         let executed_us = if self.ground_truth.is_some() {
-            self.actual_us(device, &job.shapes)
+            self.actual_us(device, job.sig)
         } else {
             model_time
         };
         if let Some(log) = &mut self.decisions {
-            let name = self.devices[device].arch().name;
+            let cell = self.sigs.cell(job.sig, self.class_of[device]);
             log.push(PlacementDecision {
                 id: job.id,
                 device,
-                arch: name,
-                shapes: Arc::clone(&job.shapes),
-                model_us: self
-                    .model_us
-                    .get(&(name, Arc::clone(&job.shapes)))
-                    .copied()
-                    .unwrap_or(job.predicted_us),
+                arch: self.devices[device].arch().name,
+                shapes: Arc::clone(self.sigs.shapes(job.sig)),
+                model_us: cell.model_us.unwrap_or(job.predicted_us),
                 predicted_us: job.predicted_us,
                 actual_us: executed_us,
             });
@@ -1565,7 +1764,7 @@ impl EventCluster {
             self.drain_and_reroute(device);
             if !self.devices[device].probe_pending && self.work_pending() {
                 self.devices[device].probe_pending = true;
-                self.timeline.schedule(self.now.plus(PROBE_NS), Ev::BreakerProbe { device });
+                self.timeline.schedule(self.now.plus(PROBE_NS), Ev::BreakerProbe(dev_key(device)));
             }
         }
         self.devices[device].backlog_us -= job.predicted_us;
@@ -1574,7 +1773,7 @@ impl EventCluster {
     }
 
     fn drain_and_reroute(&mut self, device: usize) {
-        while let Some(job) = self.devices[device].queue.try_pop() {
+        while let Some(job) = self.devices[device].queue.pop() {
             self.devices[device].backlog_us -= job.predicted_us;
             self.reroute(job, device);
         }
@@ -1628,7 +1827,8 @@ impl EventCluster {
         }
         if job.witness {
             self.witnesses += 1;
-            let batch = GemmBatch::random(&job.shapes, WITNESS_ALPHA, WITNESS_BETA, job.seed);
+            let batch =
+                GemmBatch::random(self.sigs.shapes(job.sig), WITNESS_ALPHA, WITNESS_BETA, job.seed);
             let results = ctb_baselines::default_functional(self.devices[donor].arch(), &batch);
             let oracle = batch.reference_result_exact();
             if bitwise_mismatch(&oracle, &results).is_some() {
@@ -1674,7 +1874,7 @@ impl EventCluster {
         }
         let poll_ns = self.cfg.steal.poll.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.devices[device].steal_pending = true;
-        self.timeline.schedule(self.now.plus(poll_ns.max(1)), Ev::StealCheck { device });
+        self.timeline.schedule(self.now.plus(poll_ns.max(1)), Ev::StealCheck(dev_key(device)));
     }
 
     /// The threaded `try_steal`, event-shaped: victim selection, the
@@ -1696,10 +1896,11 @@ impl EventCluster {
         let Some((victim_idx, victim_backlog)) = victim else {
             return false;
         };
-        let Some(shapes) = self.devices[victim_idx].queue.peek_map(|j| j.shapes.clone()) else {
+        let Some(sig) = self.devices[victim_idx].queue.front().map(|j| j.sig) else {
             return false;
         };
-        let Ok(predicted_here) = self.predict_cached(thief_idx, &shapes) else {
+        self.sync_calib();
+        let Some(predicted_here) = self.predict(sig, self.class_of[thief_idx]) else {
             return false;
         };
         if !placer::steal_beneficial(
@@ -1709,7 +1910,7 @@ impl EventCluster {
         ) {
             return false;
         }
-        let Some(mut job) = self.devices[victim_idx].queue.pop_if(|j| j.shapes == shapes) else {
+        let Some(mut job) = self.devices[victim_idx].queue.pop_if(|j| j.sig == sig) else {
             return false;
         };
         self.devices[victim_idx].backlog_us -= job.predicted_us;
@@ -1724,11 +1925,7 @@ impl EventCluster {
         }
         // A steal moves the operands with the work: the thief becomes
         // the holder, same as the threaded engine.
-        self.account_residency(
-            thief_idx,
-            ctb_core::shape_sig_hash(&shapes),
-            ctb_core::operand_bytes(&shapes),
-        );
+        self.account_residency(thief_idx, sig);
         self.index_touch(thief_idx);
         self.start_job(thief_idx, job);
         true
@@ -1755,9 +1952,9 @@ fn load_shapes(r: &mut Reader<'_>) -> Result<Arc<[GemmShape]>, SavestateError> {
     Ok(v.into())
 }
 
-fn save_job(w: &mut Writer, j: &EvJob) {
+fn save_job(w: &mut Writer, j: &EvJob, sigs: &SigTable) {
     w.u64(j.id);
-    save_shapes(w, &j.shapes);
+    save_shapes(w, sigs.shapes(j.sig));
     w.u64(j.seed);
     w.u64(j.arrived.as_ns());
     w.f64(j.predicted_us);
@@ -1766,10 +1963,10 @@ fn save_job(w: &mut Writer, j: &EvJob) {
     w.bool(j.witness);
 }
 
-fn load_job(r: &mut Reader<'_>) -> Result<EvJob, SavestateError> {
+fn load_job(r: &mut Reader<'_>, sigs: &mut SigTable) -> Result<EvJob, SavestateError> {
     Ok(EvJob {
         id: r.u64()?,
-        shapes: load_shapes(r)?,
+        sig: sigs.intern(&load_shapes(r)?),
         seed: r.u64()?,
         arrived: SimTime(r.u64()?),
         predicted_us: r.f64()?,
@@ -1779,43 +1976,60 @@ fn load_job(r: &mut Reader<'_>) -> Result<EvJob, SavestateError> {
     })
 }
 
-fn save_ev(w: &mut Writer, ev: &Ev) {
-    match ev {
-        Ev::Arrive { job } => {
+/// Serialize an event in the blob's historical layout: job-carrying
+/// events inline their job (read through the slab), device events
+/// their device id.
+fn save_ev(w: &mut Writer, ev: &Ev, jobs: &JobSlab, sigs: &SigTable) {
+    match *ev {
+        Ev::Arrive(slot) => {
             w.u8(0);
-            save_job(w, job);
+            save_job(w, jobs.get(slot), sigs);
         }
-        Ev::PlaceDone { job } => {
+        Ev::PlaceDone(slot) => {
             w.u8(1);
-            save_job(w, job);
+            save_job(w, jobs.get(slot), sigs);
         }
-        Ev::ExecDone { device } => {
+        Ev::ExecDone(device) => {
             w.u8(2);
-            w.len_prefix(*device);
+            w.len_prefix(device as usize);
         }
-        Ev::StealCheck { device } => {
+        Ev::StealCheck(device) => {
             w.u8(3);
-            w.len_prefix(*device);
+            w.len_prefix(device as usize);
         }
-        Ev::BreakerProbe { device } => {
+        Ev::BreakerProbe(device) => {
             w.u8(4);
-            w.len_prefix(*device);
+            w.len_prefix(device as usize);
         }
-        Ev::DeviceKill { device } => {
+        Ev::DeviceKill(device) => {
             w.u8(5);
-            w.len_prefix(*device);
+            w.len_prefix(device as usize);
         }
     }
 }
 
-fn load_ev(r: &mut Reader<'_>) -> Result<Ev, SavestateError> {
+fn load_ev(
+    r: &mut Reader<'_>,
+    jobs: &mut JobSlab,
+    sigs: &mut SigTable,
+    devices: usize,
+) -> Result<Ev, SavestateError> {
+    let device = |r: &mut Reader<'_>| {
+        let d = r.len_prefix()?;
+        if d >= devices {
+            return Err(SavestateError::Corrupt(format!(
+                "event names device {d}, pool holds {devices}"
+            )));
+        }
+        Ok(dev_key(d))
+    };
     Ok(match r.u8()? {
-        0 => Ev::Arrive { job: load_job(r)? },
-        1 => Ev::PlaceDone { job: load_job(r)? },
-        2 => Ev::ExecDone { device: r.len_prefix()? },
-        3 => Ev::StealCheck { device: r.len_prefix()? },
-        4 => Ev::BreakerProbe { device: r.len_prefix()? },
-        5 => Ev::DeviceKill { device: r.len_prefix()? },
+        0 => Ev::Arrive(jobs.insert(load_job(r, sigs)?)),
+        1 => Ev::PlaceDone(jobs.insert(load_job(r, sigs)?)),
+        2 => Ev::ExecDone(device(r)?),
+        3 => Ev::StealCheck(device(r)?),
+        4 => Ev::BreakerProbe(device(r)?),
+        5 => Ev::DeviceKill(device(r)?),
         t => return Err(SavestateError::Corrupt(format!("bad event tag {t}"))),
     })
 }
@@ -2135,16 +2349,15 @@ impl EventCluster {
         for d in &self.devices {
             w.str(d.arch().name);
             w.bool(d.alive);
-            let (items, closed) = d.queue.snapshot_with(EvJob::clone);
-            w.bool(closed);
-            w.len_prefix(items.len());
-            for j in &items {
-                save_job(&mut w, j);
+            w.bool(d.queue.is_closed());
+            w.len_prefix(d.queue.len());
+            for j in d.queue.iter() {
+                save_job(&mut w, j, &self.sigs);
             }
             match &d.running {
                 Some(Running { job, fate }) => {
                     w.bool(true);
-                    save_job(&mut w, job);
+                    save_job(&mut w, job, &self.sigs);
                     save_fate(&mut w, fate);
                 }
                 None => w.bool(false),
@@ -2183,17 +2396,25 @@ impl EventCluster {
             w.f64(topo.interposer_latency_us);
         }
         // -- timeline (pending events + tie-break counter)
-        self.timeline.save_with(&mut w, save_ev);
+        self.timeline.save_with(&mut w, |w, ev| save_ev(w, ev, &self.jobs, &self.sigs));
         // -- shared plans + simulation memo
         self.share.save(&mut w);
-        // -- engine prediction cache, sorted for byte-stable output
-        type PredEntry<'a> = (&'a (&'static str, Arc<[GemmShape]>), &'a Result<f64, String>);
-        let mut preds: Vec<PredEntry<'_>> = self.predictions.iter().collect();
-        preds.sort_by_key(|((name, shapes), _)| {
+        // -- engine prediction cache as `(arch name, shapes) → result`,
+        // sorted for byte-stable output (ids are engine-local)
+        type PredEntry<'a> = (&'static str, &'a Arc<[GemmShape]>, &'a Result<f64, String>);
+        let mut preds: Vec<PredEntry<'_>> = Vec::new();
+        for (i, info) in self.sigs.info.iter().enumerate() {
+            for (class, &rep) in self.class_rep.iter().enumerate() {
+                if let Some(res) = &self.sigs.cell(SigId(i as u32), class).pred {
+                    preds.push((self.devices[rep].arch().name, &info.shapes, res));
+                }
+            }
+        }
+        preds.sort_by_key(|(name, shapes, _)| {
             (*name, shapes.iter().map(|s| (s.m, s.n, s.k)).collect::<Vec<_>>())
         });
         w.len_prefix(preds.len());
-        for ((name, shapes), res) in preds {
+        for (name, shapes, res) in preds {
             w.str(name);
             save_shapes(&mut w, shapes);
             match res {
@@ -2287,6 +2508,22 @@ impl EventCluster {
         let mut class_names: Vec<&'static str> = Vec::new();
         let mut class_of = Vec::with_capacity(n_devices);
         let mut class_rep = Vec::new();
+        for (id, arch) in pool.iter().enumerate() {
+            let class = match class_names.iter().position(|n| *n == arch.name) {
+                Some(c) => c,
+                None => {
+                    class_names.push(arch.name);
+                    class_rep.push(id);
+                    class_names.len() - 1
+                }
+            };
+            class_of.push(class);
+        }
+        let mut sigs = SigTable::new(class_rep.len());
+        let gen_sigs = match &gen {
+            Some(g) => g.mixes.iter().map(|m| sigs.intern(&m.shapes)).collect(),
+            None => Vec::new(),
+        };
         let mut devices = Vec::with_capacity(n_devices);
         let mut session_stats = Vec::with_capacity(n_devices);
         for (id, arch) in pool.into_iter().enumerate() {
@@ -2297,15 +2534,6 @@ impl EventCluster {
                     arch.name
                 )));
             }
-            let class = match class_names.iter().position(|n| *n == arch.name) {
-                Some(c) => c,
-                None => {
-                    class_names.push(arch.name);
-                    class_rep.push(id);
-                    class_names.len() - 1
-                }
-            };
-            class_of.push(class);
             let s = Session::with_share(Framework::new(arch), Arc::clone(&share));
             let session = Arc::new(match &obs {
                 Some(o) => s.with_obs(Arc::clone(o)),
@@ -2313,10 +2541,10 @@ impl EventCluster {
             });
             let alive = r.bool()?;
             let closed = r.bool()?;
-            let items = r.seq(load_job)?;
-            let queue = BoundedQueue::restore(cfg.queue_capacity, closed, items);
+            let items = r.seq(|r| load_job(r, &mut sigs))?;
+            let queue = DeviceQueue::restore(cfg.queue_capacity, closed, items);
             let running = if r.bool()? {
-                let job = load_job(&mut r)?;
+                let job = load_job(&mut r, &mut sigs)?;
                 let fate = load_fate(&mut r)?;
                 Some(Running { job, fate })
             } else {
@@ -2370,7 +2598,9 @@ impl EventCluster {
                 probe_pending,
             });
         }
-        let timeline = Timeline::load_with(&mut r, load_ev)?;
+        let mut jobs = JobSlab::default();
+        let timeline =
+            Timeline::load_with(&mut r, |r| load_ev(r, &mut jobs, &mut sigs, n_devices))?;
         {
             let sessions: Vec<&Session> = devices.iter().map(|d| &*d.session).collect();
             share.restore_with_sessions(&mut r, &sessions)?;
@@ -2380,21 +2610,20 @@ impl EventCluster {
             d.session.set_plan_failures(plan_failures);
         }
         let n_preds = r.len_prefix()?;
-        let mut predictions = PredictionCache::with_capacity(n_preds.min(4096));
         for _ in 0..n_preds {
             let name = r.str()?;
-            let Some(interned) = class_names.iter().copied().find(|n| *n == name) else {
+            let Some(class) = class_names.iter().position(|n| *n == name) else {
                 return Err(SavestateError::Mismatch(format!(
                     "prediction cache names arch {name:?}, absent from the restore pool"
                 )));
             };
-            let shapes = load_shapes(&mut r)?;
+            let sig = sigs.intern(&load_shapes(&mut r)?);
             let res = match r.u8()? {
                 0 => Ok(r.f64()?),
                 1 => Err(r.str()?),
                 t => return Err(SavestateError::Corrupt(format!("bad prediction tag {t}"))),
             };
-            predictions.insert((interned, shapes), res);
+            sigs.cell_mut(sig, class).pred = Some(res);
         }
         let outcomes = r.seq(load_outcome)?;
         let stats = ClusterInner::default();
@@ -2404,28 +2633,28 @@ impl EventCluster {
             obs.restore_state(&mut r)?;
         }
         r.expect_end()?;
-        // Per-class index heaps restart from the live backlogs: the
-        // original heap's extra entries are stale-by-value and thus
-        // semantically invisible, so one fresh entry per alive device
-        // reproduces the same argmin choices.
-        let index = (0..class_rep.len()).map(|_| BinaryHeap::new()).collect();
+        // The per-class index restarts from the live backlogs: one fresh
+        // entry per alive device reproduces the same argmin choices.
+        let index = PlacementIndex::new(class_rep.len(), devices.len());
         let has_chiplets = devices.iter().any(|d| !d.arch().topology.is_unified());
         let mut eng = EventCluster {
             cfg,
             devices,
             share,
             timeline,
+            jobs,
             obs: obs.clone(),
             clock,
             stats,
             outcomes,
-            predictions,
+            sigs,
             class_of,
             class_rep,
             index,
             breaker_active,
             has_chiplets,
             gen,
+            gen_sigs,
             now,
             next_job_id,
             events_processed,
@@ -2435,16 +2664,12 @@ impl EventCluster {
             pending_arrivals,
             open_jobs,
             ground_truth: None,
-            actuals: HashMap::new(),
-            model_us: HashMap::new(),
             decisions: None,
             calib_version: 0,
             swappable: false,
         };
         for id in 0..eng.devices.len() {
-            if eng.devices[id].alive {
-                eng.index_touch(id);
-            }
+            eng.index_touch(id);
         }
         Ok((eng, obs))
     }
@@ -2466,8 +2691,10 @@ impl EventCluster {
             }
             self.devices[device].queue.close();
         }
+        // Dead devices leave the placement index.
+        self.index_touch(device);
         let mut jobs = Vec::new();
-        while let Some(job) = self.devices[device].queue.try_pop() {
+        while let Some(job) = self.devices[device].queue.pop() {
             self.devices[device].backlog_us -= job.predicted_us;
             self.open_jobs -= 1;
             jobs.push(job);
@@ -2475,7 +2702,7 @@ impl EventCluster {
         let mut w = Writer::with_header();
         w.len_prefix(jobs.len());
         for j in &jobs {
-            save_job(&mut w, j);
+            save_job(&mut w, j, &self.sigs);
         }
         w.into_bytes()
     }
@@ -2487,7 +2714,7 @@ impl EventCluster {
     /// how many jobs were admitted.
     pub fn import_jobs(&mut self, bytes: &[u8]) -> Result<usize, SavestateError> {
         let (mut r, _version) = Reader::with_header(bytes)?;
-        let jobs = r.seq(load_job)?;
+        let jobs = r.seq(|r| load_job(r, &mut self.sigs))?;
         r.expect_end()?;
         let n = jobs.len();
         for mut job in jobs {
@@ -2495,8 +2722,7 @@ impl EventCluster {
             self.next_job_id += 1;
             job.arrived = self.now;
             job.attempts = 0;
-            self.pending_arrivals += 1;
-            self.timeline.schedule(self.now, Ev::Arrive { job });
+            self.schedule_arrival(self.now, job);
         }
         Ok(n)
     }
@@ -2581,7 +2807,7 @@ mod tests {
         assert!(da.iter().all(|(dt, _, _)| *dt >= 1));
         // More than one mix class gets drawn at 64 requests.
         let distinct: std::collections::HashSet<usize> =
-            da.iter().map(|(_, s, _)| s.len()).collect();
+            da.iter().map(|(_, class, _)| *class).collect();
         assert!(distinct.len() > 1, "mix draws collapse to one class");
     }
 
@@ -2717,5 +2943,157 @@ mod tests {
         assert_eq!(report.witness_mismatches, 0);
         // Jobs that failed on device 0 finish elsewhere.
         assert!(report.stats.reroutes >= report.stats.worker_panics);
+    }
+
+    /// Every class index holds exactly its live devices, each at its
+    /// current backlog key, and its head is the brute-force argmin.
+    fn assert_index_exact(eng: &EventCluster) {
+        for class in 0..eng.class_rep.len() {
+            let mut got: Vec<(u64, usize)> = eng.index.entries(class).collect();
+            got.sort_unstable();
+            let mut want: Vec<(u64, usize)> = (0..eng.devices.len())
+                .filter(|&d| eng.class_of[d] == class && eng.devices[d].alive)
+                .map(|d| (eng.index_key(d), d))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "class {class} index drifted from its live devices");
+            assert_eq!(eng.index.peek(class), want.first().copied(), "class {class} argmin");
+        }
+    }
+
+    #[test]
+    fn placement_index_holds_exactly_the_live_devices_and_scans_to_the_argmin() {
+        let devices = 96;
+        let mut cfg = quiet_cfg();
+        cfg.witness_every = 0;
+        cfg.placement = PlacementMode::Indexed;
+        cfg.queue_capacity = 1 << 12;
+        cfg.steal = StealPolicy {
+            enabled: true,
+            min_victim_backlog_us: 10.0,
+            poll: Duration::from_micros(20),
+        };
+        let mut faults = vec![None; devices];
+        faults[0] = Some(Arc::new(FaultInjector::new(
+            FaultConfig::new(9).slow_worker(500, Duration::from_micros(400)),
+        )));
+        let mut eng = EventCluster::with_faults(ArchSpec::pool_presets(devices), cfg, faults);
+        eng.load(LoadGen::table2(5, 80.0, 6_000));
+        eng.kill_at(SimTime::from_us(40), 7);
+        eng.kill_at(SimTime::from_us(160), 50);
+        assert_index_exact(&eng);
+        while eng.step() {
+            if eng.events_processed.is_multiple_of(61) {
+                assert_index_exact(&eng);
+            }
+        }
+        assert_index_exact(&eng);
+        let report = eng.report();
+        assert_eq!(report.stats.kills, 2);
+        assert!(report.stats.steals > 0, "the stalled device must be stolen from");
+        assert_eq!(report.stats.completed, 6_000);
+        // Bounded: one entry per live device, however long the run.
+        let entries: usize = (0..eng.class_rep.len()).map(|c| eng.index.entries(c).count()).sum();
+        assert_eq!(entries, devices - 2);
+    }
+
+    fn job(id: u64) -> EvJob {
+        EvJob {
+            id,
+            sig: SigId(0),
+            seed: 0,
+            arrived: SimTime::ZERO,
+            predicted_us: 0.0,
+            attempts: 0,
+            stolen: false,
+            witness: false,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The key-only timeline with slab-held payloads against a
+        /// reference `BinaryHeap<(at, seq)>` with a side table, under
+        /// random schedule/pop interleavings. Small time deltas force
+        /// timestamp ties; popped jobs are often rescheduled, which
+        /// reuses their freed slab slots. Pop order, payloads, pending
+        /// counts and the serialized bytes must all agree, and a
+        /// save → load round trip must drain identically.
+        #[test]
+        fn timeline_matches_reference_heap_under_random_interleavings(
+            ops in proptest::collection::vec((0u32..5, 0u64..4), 1..=160),
+        ) {
+            /// The timeline under test, its slab, and the reference.
+            struct Pair {
+                timeline: Timeline<JobSlot>,
+                slab: JobSlab,
+                reference: BinaryHeap<Reverse<(SimTime, u64)>>,
+                payload: HashMap<u64, u64>,
+                next_seq: u64,
+            }
+            impl Pair {
+                fn schedule(&mut self, at: SimTime, id: u64) {
+                    let seq = self.timeline.schedule(at, self.slab.insert(job(id)));
+                    assert_eq!(seq, self.next_seq, "seq is the schedule counter");
+                    self.next_seq += 1;
+                    self.reference.push(Reverse((at, seq)));
+                    self.payload.insert(seq, id);
+                }
+            }
+            let mut p = Pair {
+                timeline: Timeline::new(),
+                slab: JobSlab::default(),
+                reference: BinaryHeap::new(),
+                payload: HashMap::new(),
+                next_seq: 0,
+            };
+            let (mut now, mut next_id) = (SimTime::ZERO, 0u64);
+            for (op, dt) in ops {
+                if op < 3 {
+                    p.schedule(now.plus(dt), next_id);
+                    next_id += 1;
+                    continue;
+                }
+                let got = p.timeline.pop().map(|(at, slot)| (at, p.slab.take(slot).id));
+                let want = p.reference.pop().map(|Reverse((at, seq))| (at, p.payload[&seq]));
+                assert_eq!(got, want, "pop order");
+                if let Some((at, id)) = got {
+                    now = at;
+                    if op == 4 {
+                        // Reschedule the popped job, as a backoff retry
+                        // or a device's next ExecDone would.
+                        p.schedule(now.plus(dt), id);
+                    }
+                }
+            }
+            let Pair { timeline, slab, reference, payload, next_seq } = p;
+            assert_eq!(timeline.len(), reference.len());
+            assert_eq!(timeline.peek_time(), reference.peek().map(|Reverse((at, _))| *at));
+
+            let mut w = Writer::new();
+            timeline.save_with(&mut w, |w, slot| w.u64(slab.get(*slot).id));
+            let bytes = w.into_bytes();
+            let mut sorted: Vec<(SimTime, u64)> =
+                reference.iter().map(|Reverse(k)| *k).collect();
+            sorted.sort_unstable();
+            let mut w = Writer::new();
+            w.u64(next_seq);
+            w.len_prefix(sorted.len());
+            for (at, seq) in &sorted {
+                w.u64(at.as_ns());
+                w.u64(*seq);
+                w.u64(payload[seq]);
+            }
+            assert_eq!(bytes, w.into_bytes(), "save_with writes pop order");
+
+            let mut r = Reader::new(&bytes);
+            let mut restored = Timeline::load_with(&mut r, |r| r.u64()).expect("round trip");
+            r.expect_end().expect("no trailing bytes");
+            let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| restored.pop()).collect();
+            let expect: Vec<(SimTime, u64)> =
+                sorted.iter().map(|(at, seq)| (*at, payload[seq])).collect();
+            assert_eq!(drained, expect, "restored timeline pops in the same order");
+        }
     }
 }

@@ -39,6 +39,8 @@
 mod cluster;
 pub mod drift;
 pub mod events;
+mod fifo;
+mod index;
 pub mod placer;
 mod stats;
 

@@ -218,6 +218,24 @@ impl PlanShare {
         self.residency.lock().get(&sig).copied()
     }
 
+    /// Land `sig`'s operands on `home.device` under one lock: when the
+    /// signature already lives on that device the entry is left as it
+    /// is, otherwise it is re-homed to `home`. Returns the home held
+    /// before the call — equal to a [`residency_of`](Self::residency_of)
+    /// read followed by a conditional [`note_residency`](Self::note_residency),
+    /// in one lock round-trip instead of two.
+    pub fn rehome_residency(&self, sig: u64, home: OperandHome) -> Option<OperandHome> {
+        let mut map = self.residency.lock();
+        match map.get_mut(&sig) {
+            Some(prev) if prev.device == home.device => Some(*prev),
+            Some(prev) => Some(std::mem::replace(prev, home)),
+            None => {
+                map.insert(sig, home);
+                None
+            }
+        }
+    }
+
     /// Roll back a residency move: restore `sig`'s previous home, or
     /// forget the signature entirely when it had none. Placement engines
     /// claim residency *before* a queue push (so a racing re-route sees
@@ -1155,6 +1173,22 @@ mod tests {
         let mut w2 = ctb_savestate::Writer::new();
         share2.save(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn rehome_residency_returns_the_previous_home_and_keeps_a_resident_entry() {
+        let share = PlanShare::new();
+        let (a, b) = (OperandHome { device: 4, chiplet: 1 }, OperandHome { device: 7, chiplet: 0 });
+        assert_eq!(share.rehome_residency(9, a), None, "first landing re-homes from nowhere");
+        assert_eq!(share.residency_of(9), Some(a));
+        // Same device: a hit, the stored entry is left untouched.
+        let same_device = OperandHome { device: 4, chiplet: 3 };
+        assert_eq!(share.rehome_residency(9, same_device), Some(a));
+        assert_eq!(share.residency_of(9), Some(a));
+        // Another device: last writer wins, the old home comes back.
+        assert_eq!(share.rehome_residency(9, b), Some(a));
+        assert_eq!(share.residency_of(9), Some(b));
+        assert_eq!(share.residency_len(), 1);
     }
 
     #[test]

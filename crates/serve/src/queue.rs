@@ -215,16 +215,6 @@ impl<T> BoundedQueue<T> {
         item
     }
 
-    /// Non-blocking unconditional pop: take the front item if one is
-    /// queued, never wait. This is the single-threaded seam the
-    /// discrete-event cluster engine drains device queues through — the
-    /// same bounded queue the threaded workers block on, minus the
-    /// blocking: capacity, close and steal (`pop_if`/`peek_map`)
-    /// semantics stay identical across both engines.
-    pub fn try_pop(&self) -> Option<T> {
-        self.pop_if(|_| true)
-    }
-
     /// Inspect the front item (without popping) under the lock. `None`
     /// when empty. Keep `f` cheap — it runs with the queue locked.
     pub fn peek_map<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
@@ -254,36 +244,10 @@ impl<T> BoundedQueue<T> {
         self.lock().q.is_empty()
     }
 
-    /// Whether [`BoundedQueue::close`] has been called. Part of the
-    /// queue's *observable* state: a restored queue must answer this
-    /// exactly like the original did, or a `try_push` that used to see
-    /// `Closed` would see `Full`/`Ok` after a restore.
+    /// Whether [`BoundedQueue::close`] has been called: once it has,
+    /// a `try_push` with a free slot sees `Closed`.
     pub fn is_closed(&self) -> bool {
         self.lock().closed
-    }
-
-    /// Snapshot every queued item (front to back, via `f`) together
-    /// with the closed flag, under one lock acquisition — the
-    /// serialization view of the queue. Keep `f` cheap: it runs with
-    /// the queue locked.
-    pub fn snapshot_with<R>(&self, mut f: impl FnMut(&T) -> R) -> (Vec<R>, bool) {
-        let st = self.lock();
-        (st.q.iter().map(&mut f).collect(), st.closed)
-    }
-
-    /// Rebuild a queue from serialized state: same clamped capacity,
-    /// same closed flag, same items in FIFO order. The restored queue
-    /// is observably identical — `capacity()`, `is_closed()`, `len()`,
-    /// `try_push`-on-closed and `pop_if` all answer as the original
-    /// would have (capacity goes through the same `max(1)` clamp as
-    /// [`BoundedQueue::new`], so a clamped original round-trips).
-    pub fn restore(capacity: usize, closed: bool, items: Vec<T>) -> Self {
-        BoundedQueue {
-            state: Mutex::new(State { q: VecDeque::from(items), closed }),
-            capacity: capacity.max(1),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
     }
 }
 
@@ -292,22 +256,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
-
-    #[test]
-    fn try_pop_never_blocks_and_preserves_fifo() {
-        let q = BoundedQueue::new(4);
-        assert_eq!(q.try_pop(), None, "empty queue yields None immediately");
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.try_pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), None);
-        // Closed queues still drain through try_pop.
-        q.push(3).unwrap();
-        q.close();
-        assert_eq!(q.try_pop(), Some(3));
-        assert_eq!(q.try_pop(), None);
-    }
 
     #[test]
     fn try_push_observes_capacity_and_returns_the_item() {
@@ -463,43 +411,6 @@ mod tests {
         q.push(42).unwrap();
         assert_eq!(q.peek_map(|&v| v * 2), Some(84));
         assert_eq!(q.len(), 1, "peek leaves the item in place");
-    }
-
-    #[test]
-    fn restored_queue_reports_the_original_observable_state() {
-        // Original: capacity 3, two items popped to one, then closed.
-        let q = BoundedQueue::new(3);
-        q.push(10).unwrap();
-        q.push(20).unwrap();
-        assert_eq!(q.pop(), Some(10));
-        q.close();
-
-        let (items, closed) = q.snapshot_with(|&v| v);
-        assert_eq!((items.as_slice(), closed), (&[20][..], true));
-
-        let r = BoundedQueue::restore(q.capacity(), closed, items);
-        assert_eq!(r.capacity(), q.capacity());
-        assert_eq!(r.is_closed(), q.is_closed());
-        assert_eq!(r.len(), q.len());
-        // try_push on the restored closed queue sees Closed (never
-        // Full/Ok), exactly like the original.
-        assert_eq!(r.try_push(99), Err((PushError::Closed, 99)));
-        assert_eq!(q.try_push(99), Err((PushError::Closed, 99)));
-        // pop_if still drains the surviving item, then closed+drained.
-        assert_eq!(r.pop_if(|&v| v == 20), Some(20));
-        assert_eq!(r.pop(), None, "closed + drained");
-        assert!(r.is_closed(), "drained queue stays closed");
-    }
-
-    #[test]
-    fn restored_clamped_capacity_round_trips() {
-        let q = BoundedQueue::<i32>::new(0);
-        let (items, closed) = q.snapshot_with(|&v| v);
-        let r = BoundedQueue::restore(q.capacity(), closed, items);
-        assert_eq!(r.capacity(), 1, "clamp survives the round-trip");
-        assert!(!r.is_closed());
-        r.try_push(1).unwrap();
-        assert_eq!(r.try_push(2), Err((PushError::Full, 2)));
     }
 
     #[test]

@@ -50,6 +50,19 @@ cargo run -q -p ctb-bench --bin reproduce --release -- obs
 echo "== cluster lockstep suite (event engine vs threaded, decision parity) =="
 cargo test -q -p ctb-cluster --test lockstep
 
+echo "== event-engine golden fingerprints (simulated output + checkpoint hashes pinned) =="
+cargo test -q -p ctb-cluster --test golden
+
+echo "== event-engine timeline differential property (vs reference BinaryHeap<(at, seq)>) =="
+cargo test -q -p ctb-cluster --lib timeline_matches_reference_heap_under_random_interleavings
+
+echo "== event-engine device FIFO differential property (vs ctb_serve::BoundedQueue) =="
+cargo test -q -p ctb-cluster --lib device_queue_matches_bounded_queue
+
+echo "== event-engine placement index (one entry per live device, argmin = brute-force scan) =="
+cargo test -q -p ctb-cluster --lib placement_index_holds_exactly_the_live_devices_and_scans_to_the_argmin
+cargo test -q -p ctb-cluster --lib index_head_is_the_brute_force_minimum
+
 echo "== savestate codec (versioned binary reader/writer) =="
 cargo test -q -p ctb-savestate
 
