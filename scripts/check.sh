@@ -17,6 +17,12 @@ cargo test -q
 echo "== differential conformance suite =="
 cargo test -q --test differential
 
+echo "== rayon shim (persistent pool: ordering, exactly-once, concurrent callers, nesting, panics) =="
+cargo test -q -p rayon
+
+echo "== executor ISA differential property (AVX2 / portable tile kernels vs exact oracle) =="
+cargo test -q -p ctb-core --lib isa_kernels_match_reference_exact_bitwise
+
 echo "== concurrency suites (serve stress + planning determinism) =="
 cargo test -q -p ctb-serve --test stress
 cargo test -q --test determinism
@@ -128,5 +134,8 @@ cargo clippy -p ctb-sim --all-targets -- -D warnings
 
 echo "== cargo clippy -p ctb-bench --all-targets -- -D warnings =="
 cargo clippy -p ctb-bench --all-targets -- -D warnings
+
+echo "== cargo clippy -p rayon --all-targets -- -D warnings =="
+cargo clippy -p rayon --all-targets -- -D warnings
 
 echo "check.sh: all gates passed"
