@@ -1,5 +1,5 @@
-//! The multi-device cluster: admission, sim-cost placement, per-device
-//! execution, work stealing, and device-level fault handling.
+//! The threaded multi-device cluster: admission, per-device execution
+//! threads, and the ticket each caller waits on.
 //!
 //! Thread structure (all plain OS threads, spawned at construction):
 //!
@@ -19,6 +19,13 @@
 //!                  of the most-backlogged peer when the model says it
 //!                  finishes sooner there than it would start here
 //! ```
+//!
+//! This module is a thin driver over the scheduling core
+//! ([`crate::core`]): every placement, steal, re-route, breaker drain,
+//! kill and degraded fallback is the core's decision, made through the
+//! [`Pool`] view `Threads` gives it of the atomics and locked queues
+//! below. What lives here is the thread plumbing — queues, tickets, and
+//! real, panic-isolated planning and execution.
 //!
 //! **Placement contract:** every admitted batch is predicted on every
 //! live device through the shared [`ctb_core::PlanShare`] simulation
@@ -43,9 +50,10 @@
 //! [`ClusterStats`]. Re-routes racing a shutdown resolve inline through
 //! the degraded path instead of being dropped.
 
-use crate::placer::{self, Candidate, LocalityPolicy};
-use crate::stats::{AtomicF64, ClusterInner, ClusterStats, DeviceStats};
-use ctb_core::{CacheStats, Framework, OperandHome, PlanShare, Session};
+use crate::core::{self, End, Job, PlaceFail, Policy, Pool, Tally, TALLIES};
+use crate::placer::LocalityPolicy;
+use crate::stats::{AtomicF64, ClusterInner, ClusterStats};
+use ctb_core::{Framework, PlanShare, Session};
 use ctb_gpu_specs::ArchSpec;
 use ctb_matrix::{GemmBatch, GemmShape, MatF32};
 use ctb_obs::{Obs, PointKind, SpanKind};
@@ -213,26 +221,20 @@ impl BatchTicket {
     }
 }
 
-/// One batch in flight inside the cluster.
-struct ClusterJob {
-    /// Cluster-unique job id; ties the trace's `Admit` event to its
-    /// terminal event.
-    id: u64,
+/// What a threaded job carries besides its routing state.
+struct Ticket {
     batch: GemmBatch,
     tx: mpsc::Sender<Result<ClusterResult, ClusterError>>,
-    /// Predicted simulated µs on the device currently holding the job.
-    predicted_us: f64,
     submitted: Instant,
-    /// Times the job has been moved between devices.
-    attempts: u32,
-    stolen: bool,
 }
+
+/// One batch in flight inside the cluster.
+type ClusterJob = Job<Ticket>;
 
 /// One simulated GPU: its own architecture, planning session (cache
 /// shared pool-wide through [`PlanShare`]), bounded queue, breaker and
 /// optional chaos schedule.
 struct Device {
-    id: usize,
     session: Arc<Session>,
     queue: BoundedQueue<ClusterJob>,
     /// Predicted µs of work queued or running here (advisory).
@@ -242,11 +244,7 @@ struct Device {
     alive: AtomicBool,
     breaker: Breaker,
     fault: Option<Arc<FaultInjector>>,
-    placements: AtomicUsize,
-    completed: AtomicUsize,
-    steals: AtomicUsize,
-    reroutes_out: AtomicUsize,
-    breaker_trips: AtomicUsize,
+    tally: [AtomicUsize; TALLIES],
 }
 
 impl Device {
@@ -255,28 +253,7 @@ impl Device {
     }
 
     fn roll(&self, site: FaultSite) -> bool {
-        match &self.fault {
-            Some(f) => f.roll(site),
-            None => false,
-        }
-    }
-
-    fn snapshot(&self) -> DeviceStats {
-        DeviceStats {
-            id: self.id,
-            name: self.arch().name,
-            placements: self.placements.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            reroutes_out: self.reroutes_out.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            busy_sim_us: self.busy_sim_us.load(),
-            backlog_us: self.backlog_us.load().max(0.0),
-            queue_depth: self.queue.len(),
-            utilization: 0.0, // filled in by the cluster snapshot
-            alive: self.alive.load(Ordering::Relaxed),
-            breaker_open: self.breaker.is_open(),
-        }
+        self.fault.as_ref().is_some_and(|f| f.roll(site))
     }
 }
 
@@ -291,23 +268,6 @@ struct Shared {
     obs: Option<Arc<Obs>>,
     /// Job-id source for trace linkage.
     job_ids: AtomicU64,
-}
-
-impl Shared {
-    fn obs(&self) -> Option<&Obs> {
-        self.obs.as_deref()
-    }
-}
-
-/// Why a placement attempt found no home for a job. Boxed at the
-/// `try_place` boundary so the common `Ok` path does not pay for the
-/// failure payload (the job rides along to be re-routed or degraded).
-struct PlaceFail {
-    job: ClusterJob,
-    /// Some queue was full (backpressure: worth retrying).
-    any_full: bool,
-    /// Every live device failed to *plan* the shapes (typed error).
-    plan_err: Option<String>,
 }
 
 /// A running multi-device cluster. Cheap to share: wrap it in an `Arc`
@@ -358,9 +318,7 @@ impl Cluster {
         let devices: Vec<Device> = pool
             .into_iter()
             .zip(faults)
-            .enumerate()
-            .map(|(id, (arch, fault))| Device {
-                id,
+            .map(|(arch, fault)| Device {
                 session: {
                     let s = Session::with_share(Framework::new(arch), Arc::clone(&share));
                     Arc::new(match &obs {
@@ -374,11 +332,7 @@ impl Cluster {
                 alive: AtomicBool::new(true),
                 breaker: Breaker::new(cfg.breaker.clone()),
                 fault,
-                placements: AtomicUsize::new(0),
-                completed: AtomicUsize::new(0),
-                steals: AtomicUsize::new(0),
-                reroutes_out: AtomicUsize::new(0),
-                breaker_trips: AtomicUsize::new(0),
+                tally: Default::default(),
             })
             .collect();
         let shared = Arc::new(Shared {
@@ -424,7 +378,7 @@ impl Cluster {
     /// simulated µs of the coordinated plan, memoized pool-wide. This is
     /// exactly the quantity the placer compares across devices.
     pub fn predicted_us(&self, id: usize, shapes: &[GemmShape]) -> Result<f64, String> {
-        predict_us(&self.shared.devices[id], shapes)
+        core::predict(&self.shared.devices[id].session, shapes).map(|(_, us)| us)
     }
 
     /// Submit a coordinated batch. Blocks only while *every* device
@@ -441,51 +395,44 @@ impl Cluster {
         // the log must never show those ahead of the admission. The
         // synchronous error returns below close the admission with a
         // job-carrying Reject, which the audit treats as terminal.
-        if let Some(o) = self.shared.obs() {
+        let obs = self.shared.obs.as_deref();
+        if let Some(o) = obs {
             o.point(PointKind::Admit { req: id });
         }
         let (tx, rx) = mpsc::channel();
-        let mut job = ClusterJob {
-            id,
-            batch,
-            tx,
-            predicted_us: 0.0,
-            submitted: Instant::now(),
-            attempts: 0,
-            stolen: false,
-        };
+        let mut job = Job::new(id, Ticket { batch, tx, submitted: Instant::now() });
+        let pool = &mut Threads(&self.shared);
         loop {
             if self.shared.closed.load(Ordering::Relaxed) {
-                if let Some(o) = self.shared.obs() {
+                if let Some(o) = obs {
                     o.point(PointKind::Reject { req: Some(id) });
                 }
                 return Err(ClusterError::ShuttingDown);
             }
-            match try_place(&self.shared, job, None) {
-                Ok(()) => {
-                    self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(BatchTicket { rx });
-                }
+            match pool.place(job, None) {
+                Ok(_) => break,
                 Err(fail) if fail.any_full => {
                     // Every candidate queue is at capacity: backpressure.
                     job = fail.job;
                     std::thread::sleep(Duration::from_micros(50));
                 }
-                Err(fail) => {
-                    if let Some(m) = fail.plan_err {
-                        if let Some(o) = self.shared.obs() {
-                            o.point(PointKind::Reject { req: Some(id) });
-                        }
-                        return Err(ClusterError::PlanFailed(m));
+                Err(PlaceFail { plan_err: Some(m), .. }) => {
+                    if let Some(o) = obs {
+                        o.point(PointKind::Reject { req: Some(id) });
                     }
+                    return Err(ClusterError::PlanFailed(m));
+                }
+                Err(fail) => {
                     // No live device at all: serve inline through the
                     // degraded baseline rather than dropping the batch.
                     self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                    degrade_inline(&self.shared, fail.job);
+                    core::degrade(pool, fail.job);
                     return Ok(BatchTicket { rx });
                 }
             }
         }
+        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(BatchTicket { rx })
     }
 
     /// Submit and wait — the synchronous convenience path.
@@ -495,21 +442,7 @@ impl Cluster {
 
     /// Point-in-time accounting across the pool.
     pub fn stats(&self) -> ClusterStats {
-        let mut devices: Vec<DeviceStats> =
-            self.shared.devices.iter().map(Device::snapshot).collect();
-        let makespan = devices.iter().map(|d| d.busy_sim_us).fold(0.0, f64::max);
-        for d in &mut devices {
-            d.utilization = if makespan > 0.0 { d.busy_sim_us / makespan } else { 0.0 };
-        }
-        let mut plan_cache = CacheStats::default();
-        for dev in &self.shared.devices {
-            let s = dev.session.stats();
-            plan_cache.hits += s.hits;
-            plan_cache.misses += s.misses;
-        }
-        let memo = self.shared.share.sim_memo();
-        let sim_memo = CacheStats { hits: memo.hits(), misses: memo.misses() };
-        self.shared.stats.snapshot(devices, plan_cache, sim_memo)
+        core::stats(&Threads(&self.shared))
     }
 
     /// The pool-wide plan/simulation share (monitoring hook).
@@ -528,18 +461,7 @@ impl Cluster {
     /// normally (execution is functional — results stay bitwise-exact),
     /// mirroring how a real drain lets in-flight kernels retire.
     pub fn kill_device(&self, id: usize) {
-        let dev = &self.shared.devices[id];
-        if !dev.alive.swap(false, Ordering::Relaxed) {
-            return; // already dead
-        }
-        self.shared.stats.kills.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.shared.obs() {
-            o.point(PointKind::Kill { device: id });
-        }
-        // Closing the queue wakes the device's workers (they exit once
-        // it is drained) and makes racing placements fail over cleanly.
-        dev.queue.close();
-        drain_and_reroute(&self.shared, id);
+        core::kill(&mut Threads(&self.shared), id);
     }
 
     /// Stop accepting new batches without waiting for the drain.
@@ -571,303 +493,153 @@ impl Drop for Cluster {
     }
 }
 
-/// Predict the simulated time of `shapes` on `dev`: plan through the
-/// device session (cached pool-wide per planning context) and read the
-/// chosen candidate's simulated time back out of the shared memo. After
-/// planning, the memo necessarily holds the entry — best-of-both already
-/// simulated the winner — so a placement never runs the simulator on a
-/// warm signature.
-fn predict_us(dev: &Device, shapes: &[GemmShape]) -> Result<f64, String> {
-    let plan = dev.session.plan(shapes)?;
-    let fw = dev.session.framework();
-    let model = dev.session.sim_memo().simulate_solution(
-        fw.arch(),
-        shapes,
-        &plan.solution,
-        plan.heuristic,
-        fw.thresholds(),
-    );
-    // Identity (never-calibrated) handles return `model` bit-for-bit,
-    // so uncalibrated pools keep exact prediction == execution parity.
-    Ok(dev.session.share().calib().correct(
-        fw.arch().name,
-        model,
-        &ctb_core::selector::features(shapes),
-    ))
-}
+/// The threaded engine as the scheduling core sees it. Every device
+/// field is atomic or behind the queue's lock, so a shared reference
+/// is all a decision needs — any worker thread may run one.
+struct Threads<'a>(&'a Shared);
 
-/// One placement attempt: predict the job on every eligible device and
-/// queue it on the earliest-completion candidate, spilling down the
-/// ranking when queues are full. `Err` reports why nothing was placed.
-fn try_place(
-    shared: &Shared,
-    mut job: ClusterJob,
-    exclude: Option<usize>,
-) -> Result<(), Box<PlaceFail>> {
-    // One Place span per placement attempt; the per-device predictions
-    // inside it nest their own Plan spans on the same thread.
-    let _place = shared.obs().map(|o| o.span(SpanKind::Place));
-    // One residency snapshot covers the whole slate, so every candidate
-    // is judged against the same operand home (and both engines, seeing
-    // the same snapshot in the same order, rank identically).
-    let sig = ctb_core::shape_sig_hash(&job.batch.shapes);
-    let op_bytes = ctb_core::operand_bytes(&job.batch.shapes);
-    let home = shared.share.residency_of(sig);
-    let mut candidates = Vec::with_capacity(shared.devices.len());
-    let mut plan_err = None;
-    for dev in &shared.devices {
-        if Some(dev.id) == exclude || !dev.alive.load(Ordering::Relaxed) {
-            continue;
+impl Pool for Threads<'_> {
+    type Body = Ticket;
+    type Sig = Vec<GemmShape>;
+    type PlanErr = String;
+    type Out = Vec<MatF32>;
+
+    fn policy(&self) -> Policy {
+        let cfg = &self.0.cfg;
+        Policy {
+            locality: cfg.locality.enabled,
+            max_reroutes: cfg.max_reroutes,
+            min_victim_backlog_us: cfg.steal.min_victim_backlog_us,
         }
-        match predict_us(dev, &job.batch.shapes) {
-            Ok(predicted_us) => candidates.push(Candidate {
-                device: dev.id,
-                backlog_us: dev.backlog_us.load().max(0.0),
-                predicted_us,
-                penalty_us: locality_penalty(shared, dev, home, op_bytes),
+    }
+
+    fn share(&self) -> &PlanShare {
+        &self.0.share
+    }
+
+    fn stats(&self) -> &ClusterInner {
+        &self.0.stats
+    }
+
+    fn obs(&self) -> Option<&Arc<Obs>> {
+        self.0.obs.as_ref()
+    }
+
+    fn len(&self) -> usize {
+        self.0.devices.len()
+    }
+
+    fn session(&self, d: usize) -> &Session {
+        &self.0.devices[d].session
+    }
+
+    fn breaker(&self, d: usize) -> &Breaker {
+        &self.0.devices[d].breaker
+    }
+
+    fn alive(&self, d: usize) -> bool {
+        self.0.devices[d].alive.load(Ordering::Relaxed)
+    }
+
+    fn mark_dead(&mut self, d: usize) -> bool {
+        let dev = &self.0.devices[d];
+        // Closing the queue wakes the device's workers (they exit once
+        // it is drained) and makes racing placements fail over cleanly.
+        let was_alive = dev.alive.swap(false, Ordering::Relaxed);
+        dev.queue.close();
+        was_alive
+    }
+
+    fn backlog(&self, d: usize) -> f64 {
+        self.0.devices[d].backlog_us.load()
+    }
+
+    fn add_backlog(&mut self, d: usize, delta: f64) {
+        self.0.devices[d].backlog_us.add(delta);
+    }
+
+    fn busy_us(&self, d: usize) -> f64 {
+        self.0.devices[d].busy_sim_us.load()
+    }
+
+    fn add_busy(&mut self, d: usize, us: f64) {
+        self.0.devices[d].busy_sim_us.add(us);
+    }
+
+    fn tally(&self, d: usize) -> [usize; TALLIES] {
+        self.0.devices[d].tally.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
+
+    fn bump(&mut self, d: usize, t: Tally) {
+        self.0.devices[d].tally[t as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn queue_len(&self, d: usize) -> usize {
+        self.0.devices[d].queue.len()
+    }
+
+    fn try_push(&mut self, d: usize, job: ClusterJob) -> Result<(), (PushError, ClusterJob)> {
+        self.0.devices[d].queue.try_push(job)
+    }
+
+    fn pop(&mut self, d: usize) -> Option<ClusterJob> {
+        self.0.devices[d].queue.pop_if(|_| true)
+    }
+
+    fn front_sig(&self, d: usize) -> Option<Vec<GemmShape>> {
+        self.0.devices[d].queue.peek_map(|j| j.body.batch.shapes.clone())
+    }
+
+    fn pop_if_sig(&mut self, d: usize, sig: &Vec<GemmShape>) -> Option<ClusterJob> {
+        self.0.devices[d].queue.pop_if(|j| j.body.batch.shapes == *sig)
+    }
+
+    fn sig(job: &ClusterJob) -> &Vec<GemmShape> {
+        &job.body.batch.shapes
+    }
+
+    fn sig_key(&self, sig: &Vec<GemmShape>) -> (u64, u64) {
+        (ctb_core::shape_sig_hash(sig), ctb_core::operand_bytes(sig))
+    }
+
+    fn predict(&mut self, sig: &Vec<GemmShape>, d: usize) -> Result<f64, String> {
+        core::predict(&self.0.devices[d].session, sig).map(|(_, us)| us)
+    }
+
+    fn wall_us(&self, job: &ClusterJob) -> f64 {
+        job.body.submitted.elapsed().as_secs_f64() * 1e6
+    }
+
+    fn degraded_exec(&mut self, donor: usize, job: &ClusterJob) -> Result<Vec<MatF32>, String> {
+        let dev = &self.0.devices[donor];
+        let inject = dev.roll(FaultSite::DegradedPanic);
+        catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                std::panic::panic_any(INJECTED_DEGRADED_PANIC_MSG);
+            }
+            ctb_baselines::default_functional(dev.arch(), &job.body.batch)
+        }))
+        .map_err(|payload| panic_message(&*payload))
+    }
+
+    fn respond(&mut self, job: ClusterJob, end: End<Vec<MatF32>>) -> bool {
+        let r = match end {
+            End::Done { device, degraded, simulated_us, wall_us, out } => Ok(ClusterResult {
+                results: out,
+                device,
+                predicted_us: job.predicted_us,
+                simulated_us,
+                wall_us,
+                degraded,
+                stolen: job.stolen,
+                reroutes: job.attempts,
             }),
-            Err(m) => plan_err = Some(m),
-        }
+            End::Failed(m) => Err(ClusterError::WorkerPanic(m)),
+        };
+        // An abandoned ticket (receiver dropped) is not an error: the
+        // batch still counted as completed.
+        job.body.tx.send(r).is_err()
     }
-    if candidates.is_empty() {
-        // Only report the planner error when planning was the reason —
-        // i.e. at least one live device bid and all of them failed.
-        return Err(Box::new(PlaceFail { job, any_full: false, plan_err }));
-    }
-    // A device serving its breaker's open window is sidelined; each
-    // sidelining consumes one open slot so the device heals after
-    // `open_batches` placements routed around it, mirroring the
-    // single-device server's "serve open_batches degraded then close"
-    // semantics. When *every* candidate is open, routing proceeds on
-    // cost alone — a suspect device beats the baseline.
-    let all_open = candidates
-        .iter()
-        .all(|c| shared.devices[c.device].breaker.is_open());
-    let candidates = placer::rank(candidates);
-    let mut any_full = false;
-    for c in &candidates {
-        let dev = &shared.devices[c.device];
-        if !all_open && dev.breaker.consume_open() {
-            continue;
-        }
-        job.predicted_us = c.predicted_us;
-        dev.backlog_us.add(c.predicted_us);
-        // Claim residency *before* the push: once the job is in the
-        // queue a worker may pop it, fail it, and re-route it — and that
-        // re-route's own claim must observe this landing first, or the
-        // operand home ends up ordered by thread scheduling instead of
-        // by the job's causal chain.
-        let claim = claim_residency(shared, c.device, sig, op_bytes);
-        match dev.queue.try_push(job) {
-            Ok(()) => {
-                dev.placements.fetch_add(1, Ordering::Relaxed);
-                shared.stats.routed.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = shared.obs() {
-                    o.point(PointKind::Routed { device: c.device });
-                }
-                commit_residency(shared, c.device, &claim);
-                return Ok(());
-            }
-            Err((kind, j)) => {
-                shared.share.restore_residency(sig, claim.prev);
-                dev.backlog_us.add(-c.predicted_us);
-                any_full |= kind == PushError::Full;
-                job = j;
-            }
-        }
-    }
-    Err(Box::new(PlaceFail { job, any_full, plan_err: None }))
-}
-
-/// The locality routing penalty `dev` bids with when `home` is the
-/// current operand residency of the batch's signature: zero when the
-/// policy is blind, when the operands are already resident on `dev`, or
-/// when `dev` is monolithic — otherwise the interposer-crossing cost of
-/// staging the remote share of `op_bytes` onto it.
-fn locality_penalty(
-    shared: &Shared,
-    dev: &Device,
-    home: Option<OperandHome>,
-    op_bytes: u64,
-) -> f64 {
-    if !shared.cfg.locality.enabled {
-        return 0.0;
-    }
-    if home.is_some_and(|h| h.device == dev.id) {
-        return 0.0;
-    }
-    let topo = &dev.arch().topology;
-    ctb_sim::locality_penalty_us(topo, ctb_sim::remote_operand_bytes(topo, op_bytes))
-}
-
-/// The map half of a residency landing, taken before the job is
-/// published to a queue (see the call site in [`try_place`]) and either
-/// committed by [`commit_residency`] or rolled back with
-/// [`ctb_core::PlanShare::restore_residency`].
-struct ResidencyClaim {
-    /// The operands were already on the landing device.
-    hit: bool,
-    /// The home to restore if the push is refused.
-    prev: Option<OperandHome>,
-    /// Remote share of the operand footprint charged on a miss.
-    remote_bytes: u64,
-}
-
-/// Residency accounting at the moment a placement (or steal) lands on
-/// `device`: a hit when the operands were already there, otherwise a
-/// miss that moves the operand home to `device`. Mutates only the
-/// shared map — deciding the hit and moving the home is one atomic step
-/// under the map lock's critical section ordering, so re-routes always
-/// classify against the landing that caused them. Runs under *both*
-/// policies — the blind arm pays the same bookkeeping so the locality
-/// bench compares like with like.
-fn claim_residency(shared: &Shared, device: usize, sig: u64, op_bytes: u64) -> ResidencyClaim {
-    let topo = &shared.devices[device].arch().topology;
-    let prev = shared.share.residency_of(sig);
-    let hit = prev.is_some_and(|h| h.device == device);
-    if !hit {
-        shared.share.note_residency(sig, OperandHome { device, chiplet: topo.home_chiplet(sig) });
-    }
-    ResidencyClaim {
-        hit,
-        prev,
-        remote_bytes: if hit { 0 } else { ctb_sim::remote_operand_bytes(topo, op_bytes) },
-    }
-}
-
-/// Second half of a residency landing: the counters and trace points
-/// for a claim whose push succeeded. Totals are order-independent, so
-/// this may run after the queue push without re-introducing the
-/// scheduling race the claim step avoids.
-fn commit_residency(shared: &Shared, device: usize, claim: &ResidencyClaim) {
-    if claim.hit {
-        shared.stats.residency_hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = shared.obs() {
-            o.point(PointKind::ResidencyHit { device });
-        }
-        return;
-    }
-    shared.stats.residency_misses.fetch_add(1, Ordering::Relaxed);
-    shared.stats.remote_operand_bytes.fetch_add(claim.remote_bytes, Ordering::Relaxed);
-    if let Some(o) = shared.obs() {
-        o.point(PointKind::ResidencyMiss { device });
-    }
-}
-
-/// Move the job to another device after a failure on `from` (or a
-/// kill/breaker drain). Exhausted re-route budgets and empty pools fall
-/// back to the inline degraded baseline — never a drop.
-fn reroute(shared: &Shared, mut job: ClusterJob, from: usize) {
-    job.attempts += 1;
-    shared.stats.reroutes.fetch_add(1, Ordering::Relaxed);
-    shared.devices[from].reroutes_out.fetch_add(1, Ordering::Relaxed);
-    if let Some(o) = shared.obs() {
-        o.point(PointKind::Reroute { from });
-    }
-    if job.attempts > shared.cfg.max_reroutes {
-        degrade_inline(shared, job);
-        return;
-    }
-    match try_place(shared, job, Some(from)) {
-        Ok(()) => {}
-        Err(fail) => degrade_inline(shared, fail.job),
-    }
-}
-
-/// Empty `dev`'s queue, re-routing every waiting batch (used by breaker
-/// trips and kills). In-flight batches are the workers' problem; queued
-/// ones must not wait behind a suspect or dead device.
-fn drain_and_reroute(shared: &Shared, dev_idx: usize) {
-    let dev = &shared.devices[dev_idx];
-    while let Some(job) = dev.queue.pop_if(|_| true) {
-        dev.backlog_us.add(-job.predicted_us);
-        reroute(shared, job, dev_idx);
-    }
-}
-
-/// Terminal fallback: execute on the per-kernel default baseline,
-/// inline on the calling thread. Bitwise-exact like every other path; a
-/// panic *here* is terminal and surfaces as the typed
-/// [`ClusterError::WorkerPanic`].
-fn degrade_inline(shared: &Shared, job: ClusterJob) {
-    // Parametrise the baseline with the strongest live architecture
-    // (device order is construction order; any arch yields bitwise-
-    // identical results — it only shapes the baseline's tiling).
-    let donor = shared
-        .devices
-        .iter()
-        .find(|d| d.alive.load(Ordering::Relaxed))
-        .unwrap_or(&shared.devices[0]);
-    let inject = donor.roll(FaultSite::DegradedPanic);
-    // Span opened outside the unwind boundary, same as the coordinated
-    // path: a panicking baseline still leaves a closed span behind.
-    let exec_guard = shared.obs().map(|o| o.span(SpanKind::DegradedExec));
-    let out = catch_unwind(AssertUnwindSafe(|| {
-        if inject {
-            std::panic::panic_any(INJECTED_DEGRADED_PANIC_MSG);
-        }
-        ctb_baselines::default_functional(donor.arch(), &job.batch)
-    }));
-    match out {
-        Ok(results) => {
-            if let Some(g) = exec_guard {
-                g.finish();
-            }
-            let wall_us = job.submitted.elapsed().as_secs_f64() * 1e6;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-            shared.stats.record_latency(wall_us);
-            let abandoned = respond(
-                shared,
-                &job.tx,
-                Ok(ClusterResult {
-                    results,
-                    device: donor.id,
-                    predicted_us: job.predicted_us,
-                    simulated_us: 0.0,
-                    wall_us,
-                    degraded: true,
-                    stolen: job.stolen,
-                    reroutes: job.attempts,
-                }),
-            );
-            if let Some(o) = shared.obs() {
-                o.point(PointKind::BatchDone {
-                    req: job.id,
-                    device: donor.id,
-                    degraded: true,
-                    abandoned,
-                });
-            }
-        }
-        Err(payload) => {
-            if let Some(g) = exec_guard {
-                g.finish();
-            }
-            shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = shared.obs() {
-                o.point(PointKind::PanicCaught);
-                o.dump_flight("degraded worker panic");
-            }
-            let abandoned =
-                respond(shared, &job.tx, Err(ClusterError::WorkerPanic(panic_message(&*payload))));
-            if let Some(o) = shared.obs() {
-                o.point(PointKind::Failed { req: job.id, abandoned });
-            }
-        }
-    }
-}
-
-/// Deliver a response; an abandoned ticket (receiver dropped) is not an
-/// error — the batch still counted as completed above. Returns the
-/// abandoned flag so instrumentation can record it on the terminal
-/// trace event.
-fn respond(
-    _shared: &Shared,
-    tx: &mpsc::Sender<Result<ClusterResult, ClusterError>>,
-    r: Result<ClusterResult, ClusterError>,
-) -> bool {
-    tx.send(r).is_err()
 }
 
 fn worker_loop(shared: &Shared, dev_idx: usize) {
@@ -878,7 +650,9 @@ fn worker_loop(shared: &Shared, dev_idx: usize) {
                 Ok(Some(job)) => run_job(shared, dev_idx, job),
                 Ok(None) => break, // closed and drained
                 Err(_timeout) => {
-                    try_steal(shared, dev_idx);
+                    if let Some(job) = core::steal(&mut Threads(shared), dev_idx) {
+                        run_job(shared, dev_idx, job);
+                    }
                 }
             }
         } else {
@@ -890,76 +664,9 @@ fn worker_loop(shared: &Shared, dev_idx: usize) {
     }
 }
 
-/// An idle device looks for the most-backlogged live peer and, when the
-/// cost model says the peer's front batch finishes sooner here than it
-/// would *start* there, takes it. The candidate's shapes are read under
-/// `peek_map`, predicted lock-free, then claimed with a `pop_if`
-/// recheck so a raced queue never yields the wrong batch.
-fn try_steal(shared: &Shared, thief_idx: usize) -> bool {
-    let thief = &shared.devices[thief_idx];
-    if !thief.alive.load(Ordering::Relaxed) || thief.breaker.is_open() {
-        return false;
-    }
-    let mut victim: Option<(usize, f64)> = None;
-    for dev in &shared.devices {
-        if dev.id == thief_idx || !dev.alive.load(Ordering::Relaxed) || dev.queue.is_empty() {
-            continue;
-        }
-        let backlog = dev.backlog_us.load().max(0.0);
-        if backlog >= shared.cfg.steal.min_victim_backlog_us
-            && victim.is_none_or(|(_, b)| backlog > b)
-        {
-            victim = Some((dev.id, backlog));
-        }
-    }
-    let Some((victim_idx, victim_backlog)) = victim else {
-        return false;
-    };
-    let victim_dev = &shared.devices[victim_idx];
-    let Some(shapes) = victim_dev.queue.peek_map(|j| j.batch.shapes.clone()) else {
-        return false;
-    };
-    let Ok(predicted_here) = predict_us(thief, &shapes) else {
-        return false;
-    };
-    if !placer::steal_beneficial(
-        victim_backlog,
-        predicted_here,
-        shared.cfg.steal.min_victim_backlog_us,
-    ) {
-        return false;
-    }
-    // Claim under the lock, rechecking identity: the front batch may
-    // have been popped (or swapped) since the peek.
-    let Some(mut job) = victim_dev.queue.pop_if(|j| j.batch.shapes == shapes) else {
-        return false;
-    };
-    victim_dev.backlog_us.add(-job.predicted_us);
-    job.predicted_us = predicted_here;
-    job.stolen = true;
-    thief.backlog_us.add(predicted_here);
-    thief.steals.fetch_add(1, Ordering::Relaxed);
-    shared.stats.steals.fetch_add(1, Ordering::Relaxed);
-    if let Some(o) = shared.obs() {
-        o.point(PointKind::Steal { to: thief_idx, from: victim_idx });
-    }
-    // The steal physically moves the operands: account the transfer and
-    // re-home the signature on the thief. The job is already claimed
-    // (popped) here, so claim and commit run back-to-back — no queue
-    // push can interleave another landing for this chain in between.
-    let claim = claim_residency(
-        shared,
-        thief_idx,
-        ctb_core::shape_sig_hash(&shapes),
-        ctb_core::operand_bytes(&shapes),
-    );
-    commit_residency(shared, thief_idx, &claim);
-    run_job(shared, thief_idx, job);
-    true
-}
-
 fn run_job(shared: &Shared, dev_idx: usize, job: ClusterJob) {
     let dev = &shared.devices[dev_idx];
+    let pool = &mut Threads(shared);
 
     // Injected worker stall (slow-device chaos).
     if let Some(f) = &dev.fault {
@@ -973,11 +680,11 @@ fn run_job(shared: &Shared, dev_idx: usize, job: ClusterJob) {
     let planned = if dev.roll(FaultSite::PlanFail) {
         Err("injected planning failure".to_string())
     } else {
-        match catch_unwind(AssertUnwindSafe(|| dev.session.plan(&job.batch.shapes))) {
+        match catch_unwind(AssertUnwindSafe(|| dev.session.plan(&job.body.batch.shapes))) {
             Ok(r) => r,
             Err(payload) => {
                 shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = shared.obs() {
+                if let Some(o) = &shared.obs {
                     o.point(PointKind::PanicCaught);
                     o.dump_flight("planner panic");
                 }
@@ -985,97 +692,30 @@ fn run_job(shared: &Shared, dev_idx: usize, job: ClusterJob) {
             }
         }
     };
-    let plan = match planned {
-        Ok(plan) => plan,
-        Err(_m) => {
-            shared.stats.plan_failures.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = shared.obs() {
-                o.point(PointKind::PlanFailure);
-            }
-            fail_and_reroute(shared, dev_idx, job);
-            return;
-        }
+    let Ok(plan) = planned else {
+        return core::fail(pool, dev_idx, job, false);
     };
 
     // Execute — panic-isolated; a panic re-routes the batch to a
     // surviving device instead of killing the worker. The span is
-    // opened outside the unwind boundary so a panicking batch still
-    // gets a closed span in the trace (and in any flight dump).
-    let exec_guard = shared.obs().map(|o| o.span(SpanKind::Exec));
+    // opened outside the unwind boundary and closed before any panic
+    // bookkeeping, so a panicking batch still gets a closed span in the
+    // trace (and in any flight dump).
+    let exec_guard = shared.obs.as_ref().map(|o| o.span(SpanKind::Exec));
     let inject_panic = dev.roll(FaultSite::ExecPanic);
     let executed = catch_unwind(AssertUnwindSafe(|| {
         if inject_panic {
             std::panic::panic_any(INJECTED_PANIC_MSG);
         }
-        dev.session.framework().execute(&job.batch, &plan)
+        dev.session.framework().execute(&job.body.batch, &plan)
     }));
+    if let Some(g) = exec_guard {
+        g.finish();
+    }
     match executed {
-        Ok((results, report)) => {
-            if let Some(g) = exec_guard {
-                g.finish();
-            }
-            dev.breaker.record_success();
-            dev.backlog_us.add(-job.predicted_us);
-            dev.busy_sim_us.add(report.total_us);
-            dev.completed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.record_placement_err(job.predicted_us, report.total_us);
-            let wall_us = job.submitted.elapsed().as_secs_f64() * 1e6;
-            shared.stats.record_latency(wall_us);
-            let abandoned = respond(
-                shared,
-                &job.tx,
-                Ok(ClusterResult {
-                    results,
-                    device: dev.id,
-                    predicted_us: job.predicted_us,
-                    simulated_us: report.total_us,
-                    wall_us,
-                    degraded: false,
-                    stolen: job.stolen,
-                    reroutes: job.attempts,
-                }),
-            );
-            if let Some(o) = shared.obs() {
-                o.point(PointKind::BatchDone {
-                    req: job.id,
-                    device: dev.id,
-                    degraded: false,
-                    abandoned,
-                });
-            }
-        }
-        Err(_payload) => {
-            // Close the span before snapshotting, so the flight ring
-            // holds the panicking batch's complete exec span.
-            if let Some(g) = exec_guard {
-                g.finish();
-            }
-            shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = shared.obs() {
-                o.point(PointKind::PanicCaught);
-                o.dump_flight("worker panic");
-            }
-            fail_and_reroute(shared, dev_idx, job);
-        }
+        Ok((results, report)) => core::complete(pool, dev_idx, job, report.total_us, results),
+        Err(_payload) => core::fail(pool, dev_idx, job, true),
     }
-}
-
-/// Common failure tail: charge the device's breaker (a trip drains its
-/// queue onto survivors), release the job's backlog, and re-route it.
-fn fail_and_reroute(shared: &Shared, dev_idx: usize, job: ClusterJob) {
-    let dev = &shared.devices[dev_idx];
-    if dev.breaker.record_failure() {
-        dev.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        shared.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = shared.obs() {
-            o.point(PointKind::BreakerTrip);
-            o.dump_flight("breaker trip");
-        }
-        drain_and_reroute(shared, dev_idx);
-    }
-    dev.backlog_us.add(-job.predicted_us);
-    reroute(shared, job, dev_idx);
 }
 
 #[cfg(test)]

@@ -8,13 +8,16 @@
 //! *simulated* time: device count becomes a `Vec` length, and a 10k-
 //! device pool processing a million requests is just a larger heap.
 //!
-//! **Decision parity.** Placement, work stealing, breaker trips, kill
-//! re-routing and the per-mille [`FaultInjector`] draws all go through
-//! the exact same seams the threaded engine uses —
-//! [`placer::rank`]/[`placer::choose`](crate::placer::choose),
-//! [`placer::steal_beneficial`], [`Breaker`], and the shared
-//! [`PlanShare`] memo — in the same order a serially-driven threaded
-//! cluster consults them. The lockstep differential suite
+//! **One core, two drivers.** Placement, work stealing, breaker trips,
+//! kill and drain re-routing, completion and the degraded fallback are
+//! not re-implemented here: this engine is a driver over the crate's
+//! scheduling core (`core.rs`), which the threaded engine drives too.
+//! The engine implements the core's `Pool` trait over plain device
+//! fields and a single-threaded `DeviceQueue`, and keeps only what is its
+//! own — the timeline, the job slab, fates rolled at job start,
+//! witnesses, ground truth, the placement index and savestate. The
+//! per-mille [`FaultInjector`] draws happen in the order a serially
+//! driven threaded cluster draws them. The lockstep differential suite
 //! (`tests/lockstep.rs`) drives both engines over the chaos schedules
 //! and compares per-request routing decisions, reconciled
 //! [`ClusterStats`] and fault logs.
@@ -52,8 +55,9 @@
 //!   pending arrivals and placements sit in a slab, a running job in
 //!   its device's slot;
 //! * the placement index keeps one entry per device (an indexed
-//!   min-heap per class), and a landing re-homes operand residency in
-//!   one `PlanShare` lock round-trip.
+//!   min-heap per class), and a landing claims operand residency in
+//!   one `PlanShare` lock round-trip (a refused push pays a second to
+//!   roll the claim back).
 //!
 //! None of this changes a decision: the pop order is still
 //! `(SimTime, seq)`, each table cell holds the number the hash map
@@ -62,17 +66,18 @@
 //! checkpoint hashes captured before the rewrite.
 
 use crate::cluster::{ClusterConfig, StealPolicy};
+use crate::core::{self, End, Job, PlaceFail, Policy, Pool, Tally, TALLIES};
 use crate::drift::{GroundTruth, PlacementDecision};
 use crate::fifo::DeviceQueue;
 use crate::index::PlacementIndex;
-use crate::placer::{self, Candidate, LocalityPolicy};
-use crate::stats::{ClusterInner, ClusterStats, DeviceStats};
+use crate::placer::{Candidate, LocalityPolicy};
+use crate::stats::{ClusterInner, ClusterStats};
 use ctb_core::{
-    AdmissionPolicy, BatchingPolicy, CacheStats, Framework, FrameworkConfig, OperandHome,
-    PlanShare, PlanShareConfig, Session,
+    AdmissionPolicy, BatchingPolicy, CacheStats, Framework, FrameworkConfig, PlanShare,
+    PlanShareConfig, Session,
 };
 use ctb_gpu_specs::ArchSpec;
-use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape};
+use ctb_matrix::{bitwise_mismatch, GemmBatch, GemmShape, MatF32};
 use ctb_obs::{Obs, ObsClock, PointKind, SimClock, SpanKind};
 use ctb_savestate::{Reader, SavestateError, Writer};
 use ctb_serve::{
@@ -259,7 +264,7 @@ impl<E> Timeline<E> {
 /// [`SigTable`]. Interning is by content, so two requests with equal
 /// shapes carry equal ids — id equality is shape equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SigId(u32);
+pub(crate) struct SigId(u32);
 
 impl SigId {
     fn index(self) -> usize {
@@ -353,25 +358,21 @@ impl SigTable {
     }
 }
 
-/// One request in flight inside the event engine. Unlike the threaded
-/// `ClusterJob` it carries no matrices — only its interned shape
-/// signature — unless it is a witness (see module docs), in which case
-/// the matrices are rebuilt from `seed` at execution time.
+/// What an event-engine request carries besides its routing state.
+/// Unlike the threaded engine's ticket it holds no matrices — only its
+/// interned shape signature — unless it is a witness (see module docs),
+/// in which case the matrices are rebuilt from `seed` at execution time.
 #[derive(Clone, Copy)]
-struct EvJob {
-    id: u64,
+pub(crate) struct Req {
     sig: SigId,
     /// Data seed a witness materializes its matrices from.
     seed: u64,
     arrived: SimTime,
-    /// Predicted simulated µs on the device currently holding the job
-    /// (re-predicted on steal/re-route, exactly like the threaded path).
-    predicted_us: f64,
-    /// Times the job has been moved between devices.
-    attempts: u32,
-    stolen: bool,
     witness: bool,
 }
+
+/// One request in flight inside the event engine.
+type EvJob = Job<Req>;
 
 /// Slab index of a job waiting on the timeline.
 #[derive(Debug, Clone, Copy)]
@@ -438,6 +439,21 @@ enum Ev {
 const _: () = assert!(std::mem::size_of::<Ev>() == 8);
 const _: () = assert!(std::mem::size_of::<Reverse<Entry<Ev>>>() == 24);
 
+/// Group a pool into architecture classes — predictions are identical
+/// within a class. Returns each device's class and each class's first
+/// device (its representative).
+fn arch_classes(pool: &[ArchSpec]) -> (Vec<usize>, Vec<usize>) {
+    let (mut class_of, mut rep) = (Vec::with_capacity(pool.len()), Vec::<usize>::new());
+    for (id, arch) in pool.iter().enumerate() {
+        let class = rep.iter().position(|&r| pool[r].name == arch.name).unwrap_or_else(|| {
+            rep.push(id);
+            rep.len() - 1
+        });
+        class_of.push(class);
+    }
+    (class_of, rep)
+}
+
 /// Timeline key for a device-addressed event.
 fn dev_key(device: usize) -> u32 {
     u32::try_from(device).expect("device ids fit in u32")
@@ -468,7 +484,6 @@ struct Running {
 /// `BoundedQueue`, because exactly one event handler touches them at a
 /// time.
 struct EvDevice {
-    id: usize,
     session: Arc<Session>,
     queue: DeviceQueue<EvJob>,
     running: Option<Running>,
@@ -480,11 +495,7 @@ struct EvDevice {
     alive: bool,
     breaker: Breaker,
     fault: Option<Arc<FaultInjector>>,
-    placements: usize,
-    completed: usize,
-    steals: usize,
-    reroutes_out: usize,
-    breaker_trips: usize,
+    tally: [usize; TALLIES],
     /// A StealCheck event is already on the heap for this device.
     steal_pending: bool,
     /// A BreakerProbe event is already on the heap for this device.
@@ -496,37 +507,12 @@ impl EvDevice {
         self.session.framework().arch()
     }
 
-    fn backlog(&self) -> f64 {
-        self.backlog_us.max(0.0)
-    }
-
     fn roll(&self, site: FaultSite) -> bool {
-        match &self.fault {
-            Some(f) => f.roll(site),
-            None => false,
-        }
+        self.fault.as_ref().is_some_and(|f| f.roll(site))
     }
 
     fn idle(&self) -> bool {
         self.running.is_none() && self.queue.is_empty()
-    }
-
-    fn snapshot(&self) -> DeviceStats {
-        DeviceStats {
-            id: self.id,
-            name: self.arch().name,
-            placements: self.placements,
-            completed: self.completed,
-            steals: self.steals,
-            reroutes_out: self.reroutes_out,
-            breaker_trips: self.breaker_trips,
-            busy_sim_us: self.busy_sim_us,
-            backlog_us: self.backlog(),
-            queue_depth: self.queue.len(),
-            utilization: 0.0, // filled in by the engine snapshot
-            alive: self.alive,
-            breaker_open: self.breaker.is_open(),
-        }
     }
 }
 
@@ -739,24 +725,6 @@ pub struct EngineReport {
     pub decisions: Vec<PlacementDecision>,
 }
 
-/// Why a placement attempt found no home (mirrors the threaded
-/// `PlaceFail`).
-struct PlaceFail {
-    job: EvJob,
-    any_full: bool,
-    /// Some arch class's planner rejected the shapes.
-    plan_rejected: bool,
-}
-
-/// Outcome of the indexed fast path.
-enum IndexedPlace {
-    Placed(usize),
-    /// No live device bid (all dead or every class failed to plan).
-    NoCandidate { job: EvJob, plan_rejected: bool },
-    /// Best queue was full — retry with the exact spill-down scan.
-    Fallback(EvJob),
-}
-
 // ---------------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------------
@@ -897,23 +865,11 @@ impl EventCluster {
         assert!(!pool.is_empty(), "a cluster needs at least one device");
         assert_eq!(pool.len(), faults.len(), "one fault schedule slot per device");
         let share = Arc::new(PlanShare::with_config(cfg.share));
-        let mut class_names: Vec<&'static str> = Vec::new();
-        let mut class_of = Vec::with_capacity(pool.len());
-        let mut class_rep = Vec::new();
+        let (class_of, class_rep) = arch_classes(&pool);
         let devices: Vec<EvDevice> = pool
             .into_iter()
             .zip(faults)
-            .enumerate()
-            .map(|(id, (arch, fault))| {
-                let class = match class_names.iter().position(|n| *n == arch.name) {
-                    Some(c) => c,
-                    None => {
-                        class_names.push(arch.name);
-                        class_rep.push(id);
-                        class_names.len() - 1
-                    }
-                };
-                class_of.push(class);
+            .map(|(arch, fault)| {
                 let fw = if swappable {
                     Framework::with_config(
                         arch,
@@ -931,7 +887,6 @@ impl EventCluster {
                     None => s,
                 });
                 EvDevice {
-                    id,
                     session,
                     queue: DeviceQueue::new(cfg.queue_capacity),
                     running: None,
@@ -940,11 +895,7 @@ impl EventCluster {
                     alive: true,
                     breaker: Breaker::new(cfg.breaker.clone()),
                     fault,
-                    placements: 0,
-                    completed: 0,
-                    steals: 0,
-                    reroutes_out: 0,
-                    breaker_trips: 0,
+                    tally: [0; TALLIES],
                     steal_pending: false,
                     probe_pending: false,
                 }
@@ -1030,17 +981,7 @@ impl EventCluster {
         let id = self.next_job_id;
         self.next_job_id += 1;
         let witness = self.is_witness(id);
-        let job = EvJob {
-            id,
-            sig,
-            seed,
-            arrived: at,
-            predicted_us: 0.0,
-            attempts: 0,
-            stolen: false,
-            witness,
-        };
-        self.schedule_arrival(at, job);
+        self.schedule_arrival(at, Job::new(id, Req { sig, seed, arrived: at, witness }));
         id
     }
 
@@ -1085,10 +1026,6 @@ impl EventCluster {
         self.pending_arrivals > 0
             || self.open_jobs > 0
             || self.gen.as_ref().is_some_and(|g| g.requests_remaining() > 0)
-    }
-
-    fn obs(&self) -> Option<&Obs> {
-        self.obs.as_deref()
     }
 
     /// Process the next pending event. Returns `false` when the
@@ -1151,20 +1088,7 @@ impl EventCluster {
 
     /// Point-in-time [`ClusterStats`] in the threaded vocabulary.
     pub fn stats_snapshot(&self) -> ClusterStats {
-        let mut devices: Vec<DeviceStats> = self.devices.iter().map(EvDevice::snapshot).collect();
-        let makespan = devices.iter().map(|d| d.busy_sim_us).fold(0.0, f64::max);
-        for d in &mut devices {
-            d.utilization = if makespan > 0.0 { d.busy_sim_us / makespan } else { 0.0 };
-        }
-        let mut plan_cache = CacheStats::default();
-        for dev in &self.devices {
-            let s = dev.session.stats();
-            plan_cache.hits += s.hits;
-            plan_cache.misses += s.misses;
-        }
-        let memo = self.share.sim_memo();
-        let sim_memo = CacheStats { hits: memo.hits(), misses: memo.misses() };
-        self.stats.snapshot(devices, plan_cache, sim_memo)
+        core::stats(self)
     }
 
     // -- event dispatch ---------------------------------------------------
@@ -1179,7 +1103,9 @@ impl EventCluster {
             Ev::ExecDone(device) => self.on_exec_done(device as usize),
             Ev::StealCheck(device) => self.on_steal_check(device as usize),
             Ev::BreakerProbe(device) => self.on_breaker_probe(device as usize),
-            Ev::DeviceKill(device) => self.on_kill(device as usize),
+            // A job mid-execution on the killed device finishes normally
+            // (its ExecDone is already on the heap).
+            Ev::DeviceKill(device) => core::kill(self, device as usize),
         }
     }
 
@@ -1189,7 +1115,7 @@ impl EventCluster {
         self.requests += 1;
         // Admit is traced before placement, mirroring the threaded
         // submit path's ordering contract.
-        if let Some(o) = self.obs() {
+        if let Some(o) = &self.obs {
             o.point(PointKind::Admit { req: self.jobs.get(slot).id });
         }
         // Keep the open-loop source primed: one pending generated
@@ -1201,7 +1127,7 @@ impl EventCluster {
 
     fn on_place(&mut self, job: EvJob) {
         let id = job.id;
-        match self.place_attempt(job, None) {
+        match self.place(job, None) {
             Ok(device) => {
                 self.stats.submitted.fetch_add(1, Ordering::Relaxed);
                 self.maybe_start(device);
@@ -1213,21 +1139,20 @@ impl EventCluster {
                 let slot = self.jobs.insert(fail.job);
                 self.timeline.schedule(self.now.plus(BACKOFF_NS), Ev::PlaceDone(slot));
             }
-            Err(fail) => {
-                if fail.plan_rejected {
-                    if let Some(o) = self.obs() {
-                        o.point(PointKind::Reject { req: Some(id) });
-                    }
-                    self.open_jobs -= 1;
-                    if self.cfg.record_outcomes {
-                        self.outcomes.push(ReqOutcome::PlanRejected { id });
-                    }
-                    return;
+            Err(PlaceFail { plan_err: Some(()), .. }) => {
+                if let Some(o) = &self.obs {
+                    o.point(PointKind::Reject { req: Some(id) });
                 }
+                self.open_jobs -= 1;
+                if self.cfg.record_outcomes {
+                    self.outcomes.push(ReqOutcome::PlanRejected { id });
+                }
+            }
+            Err(fail) => {
                 // No live device at all: degraded inline, like the
                 // threaded submit path.
                 self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                self.degrade_inline(fail.job);
+                core::degrade(self, fail.job);
             }
         }
     }
@@ -1238,37 +1163,26 @@ impl EventCluster {
         };
         match fate {
             Fate::Complete => self.complete_job(device, job),
-            Fate::PlanFailed => {
-                self.stats.plan_failures.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = self.obs() {
-                    o.point(PointKind::PlanFailure);
-                }
-                self.fail_and_reroute(device, job);
-            }
-            Fate::Panicked => {
-                self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = self.obs() {
-                    o.point(PointKind::PanicCaught);
-                    o.dump_flight("worker panic");
-                }
-                self.fail_and_reroute(device, job);
-            }
+            Fate::PlanFailed => core::fail(self, device, job, false),
+            Fate::Panicked => core::fail(self, device, job, true),
         }
         self.maybe_start(device);
         self.maybe_schedule_steal(device);
     }
 
-    fn on_steal_check(&mut self, thief_idx: usize) {
-        self.devices[thief_idx].steal_pending = false;
-        let thief = &self.devices[thief_idx];
-        if !thief.alive || thief.breaker.is_open() || !thief.idle() {
+    fn on_steal_check(&mut self, thief: usize) {
+        self.devices[thief].steal_pending = false;
+        let dev = &self.devices[thief];
+        if !dev.alive || dev.breaker.is_open() || !dev.idle() {
             return;
         }
-        if self.try_steal(thief_idx) {
+        self.sync_calib();
+        if let Some(job) = core::steal(self, thief) {
             // Busy now; the next idle transition re-arms the check.
+            self.start_job(thief, job);
             return;
         }
-        self.maybe_schedule_steal(thief_idx);
+        self.maybe_schedule_steal(thief);
     }
 
     fn on_breaker_probe(&mut self, device: usize) {
@@ -1278,30 +1192,18 @@ impl EventCluster {
         }
         if self.devices[device].breaker.is_open() {
             // Still serving the open window: probe again later.
-            if self.work_pending() {
-                self.devices[device].probe_pending = true;
-                self.timeline.schedule(self.now.plus(PROBE_NS), Ev::BreakerProbe(dev_key(device)));
-            }
+            self.schedule_probe(device);
             return;
         }
         // Healed: an idle recovered device goes back to stealing.
         self.maybe_schedule_steal(device);
     }
 
-    fn on_kill(&mut self, device: usize) {
-        if !self.devices[device].alive {
-            return; // already dead
+    fn schedule_probe(&mut self, device: usize) {
+        if !self.devices[device].probe_pending && self.work_pending() {
+            self.devices[device].probe_pending = true;
+            self.timeline.schedule(self.now.plus(PROBE_NS), Ev::BreakerProbe(dev_key(device)));
         }
-        self.devices[device].alive = false;
-        self.stats.kills.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs() {
-            o.point(PointKind::Kill { device });
-        }
-        // Mirror the threaded kill: close the queue, then re-route
-        // everything that was waiting. A job mid-execution finishes
-        // normally (its ExecDone is already on the heap).
-        self.devices[device].queue.close();
-        self.drain_and_reroute(device);
     }
 
     // -- placement --------------------------------------------------------
@@ -1318,11 +1220,11 @@ impl EventCluster {
         }
     }
 
-    /// Memoized prediction for `sig` on arch class `class` — the same
-    /// plan + `simulate_solution` number the threaded `predict_us`
-    /// computes, shared across all devices of the class. `None` when
+    /// Memoized prediction for `sig` on arch class `class` — the
+    /// [`core::predict`] number the threaded engine computes per
+    /// placement, shared across all devices of the class. `None` when
     /// the class's planner rejects the shapes.
-    fn predict(&mut self, sig: SigId, class: usize) -> Option<f64> {
+    fn class_prediction(&mut self, sig: SigId, class: usize) -> Option<f64> {
         match &self.sigs.cell(sig, class).pred {
             Some(Ok(us)) => Some(*us),
             Some(Err(_)) => None,
@@ -1332,40 +1234,41 @@ impl EventCluster {
 
     #[cold]
     fn compute_prediction(&mut self, sig: SigId, class: usize) -> Option<f64> {
-        let rep = self.class_rep[class];
-        let name = self.devices[rep].arch().name;
-        let shapes = Arc::clone(self.sigs.shapes(sig));
-        let session = &self.devices[rep].session;
-        let raw = session.plan(&shapes).map(|plan| {
-            let fw = session.framework();
-            session.sim_memo().simulate_solution(
-                fw.arch(),
-                &shapes,
-                &plan.solution,
-                plan.heuristic,
-                fw.thresholds(),
-            )
-        });
-        let pred = match raw {
-            Ok(model) => {
-                self.sigs.cell_mut(sig, class).model_us = Some(model);
-                // Identity state (version 0) returns `model` bit-for-bit.
-                Ok(self.share.calib().correct(name, model, &ctb_core::selector::features(&shapes)))
-            }
-            Err(e) => Err(e),
-        };
-        let out = pred.as_ref().ok().copied();
-        self.sigs.cell_mut(sig, class).pred = Some(pred);
+        let session = &self.devices[self.class_rep[class]].session;
+        let raw = core::predict(session, self.sigs.shapes(sig));
+        let cell = self.sigs.cell_mut(sig, class);
+        if let Ok((model, _)) = raw {
+            cell.model_us = Some(model);
+        }
+        let out = raw.as_ref().ok().map(|&(_, us)| us);
+        cell.pred = Some(raw.map(|(_, us)| us));
         out
     }
 
+    /// Whether this placement may take the indexed path. Both paths
+    /// stay because each is needed somewhere:
+    ///
+    /// * [`PlacementMode::Exact`] — the core's exact scan — is the
+    ///   lockstep reference (the threaded engine runs the same code) and
+    ///   the fallback whenever the index cannot see the decision: after
+    ///   any breaker trip (open-window sidelining consumes slots per
+    ///   candidate), on re-routes (they exclude a device) and on
+    ///   locality-aware chiplet pools (the penalty depends on which
+    ///   device holds the operands, which a backlog-keyed class index
+    ///   cannot express).
+    /// * [`PlacementMode::Indexed`] is the O(classes · log n) argmin that
+    ///   makes a 1024-device pool cheap to place on.
+    ///
+    /// Known corner, kept bit for bit: when the indexed path's chosen
+    /// queue refuses a push, the backlog's add-then-subtract round trip
+    /// need not restore its exact bits, and the device is not re-keyed —
+    /// so its index entry reads as stale and drops out until the device
+    /// is next touched. Re-keying it would change seeded outputs
+    /// (`tests/golden.rs`); ROADMAP carries that fix as its own change.
     fn use_index(&self, exclude: Option<usize>) -> bool {
         if self.breaker_active || exclude.is_some() {
             return false;
         }
-        // Locality-aware placement over a chiplet pool needs the full
-        // slate: the penalty depends on which device holds the operands,
-        // which the backlog-keyed class index cannot express.
         if self.cfg.locality.enabled && self.has_chiplets {
             return false;
         }
@@ -1379,7 +1282,7 @@ impl EventCluster {
     fn index_key(&self, device: usize) -> u64 {
         // Backlogs are clamped non-negative, and non-negative IEEE
         // doubles order identically to their bit patterns.
-        self.devices[device].backlog().to_bits()
+        self.devices[device].backlog_us.max(0.0).to_bits()
     }
 
     /// Re-key `device` in its class index at its current backlog; a
@@ -1394,36 +1297,19 @@ impl EventCluster {
         }
     }
 
-    /// One placement attempt. The exact path mirrors the threaded
-    /// `try_place` line for line; the indexed path short-circuits the
-    /// scan with per-class argmins, which pick the same device whenever
-    /// no breaker is open and the best queue is not full — and fall
-    /// back to the exact scan otherwise. Returns the placed-on device.
-    fn place_attempt(&mut self, job: EvJob, exclude: Option<usize>) -> Result<usize, PlaceFail> {
-        if self.use_index(exclude) {
-            match self.place_indexed(job) {
-                IndexedPlace::Placed(d) => return Ok(d),
-                IndexedPlace::NoCandidate { job, plan_rejected } => {
-                    return Err(PlaceFail { job, any_full: false, plan_rejected })
-                }
-                IndexedPlace::Fallback(job) => return self.place_exact(job, exclude),
-            }
-        }
-        self.place_exact(job, exclude)
-    }
-
     /// Indexed argmin placement: peek each class heap's valid head
     /// (same within-class order as the global ranking, because the
     /// predicted time is constant within a class), then compare class
-    /// winners with the identical completion-then-id ordering.
-    fn place_indexed(&mut self, mut job: EvJob) -> IndexedPlace {
-        let obs_arc = self.obs.clone();
-        let _place = obs_arc.as_ref().map(|o| o.span(SpanKind::Place));
-        self.sync_calib();
+    /// winners with the identical completion-then-id ordering, and land
+    /// the job through the core. `Err(job)` hands back a job the chosen
+    /// queue refused, for the exact scan's spill-down.
+    fn place_indexed(&mut self, job: EvJob) -> Result<Result<usize, PlaceFail<Self>>, EvJob> {
+        let obs = self.obs.clone();
+        let _place = obs.as_ref().map(|o| o.span(SpanKind::Place));
         let mut plan_rejected = false;
         let mut best: Option<Candidate> = None;
         for class in 0..self.class_rep.len() {
-            let Some(predicted_us) = self.predict(job.sig, class) else {
+            let Some(predicted_us) = self.class_prediction(job.body.sig, class) else {
                 plan_rejected = true;
                 continue;
             };
@@ -1456,131 +1342,12 @@ impl EventCluster {
             }
         }
         let Some(c) = best else {
-            return IndexedPlace::NoCandidate { job, plan_rejected };
+            let plan_err = plan_rejected.then_some(());
+            return Ok(Err(PlaceFail { job, any_full: false, plan_err }));
         };
-        job.predicted_us = c.predicted_us;
-        self.devices[c.device].backlog_us += c.predicted_us;
-        match self.devices[c.device].queue.try_push(job) {
-            Ok(()) => {
-                self.finish_placement(c.device, job.sig);
-                IndexedPlace::Placed(c.device)
-            }
-            Err((_kind, j)) => {
-                self.devices[c.device].backlog_us -= c.predicted_us;
-                IndexedPlace::Fallback(j)
-            }
-        }
-    }
-
-    /// The exact scan — a line-for-line mirror of the threaded
-    /// `try_place`, with predictions served from the class table.
-    fn place_exact(&mut self, mut job: EvJob, exclude: Option<usize>) -> Result<usize, PlaceFail> {
-        let obs_arc = self.obs.clone();
-        let _place = obs_arc.as_ref().map(|o| o.span(SpanKind::Place));
-        self.sync_calib();
-        // One residency snapshot per placement slate, read before any
-        // candidate is scored — the same read-once discipline as the
-        // threaded `try_place`, so both engines rank from identical
-        // residency state. Only the locality penalty reads it, and a
-        // blind policy never does.
-        let info = self.sigs.info(job.sig);
-        let (sig_hash, op_bytes) = (info.hash, info.op_bytes);
-        let home =
-            if self.cfg.locality.enabled { self.share.residency_of(sig_hash) } else { None };
-        let mut candidates = Vec::with_capacity(self.devices.len());
-        let mut plan_rejected = false;
-        for i in 0..self.devices.len() {
-            if Some(i) == exclude || !self.devices[i].alive {
-                continue;
-            }
-            match self.predict(job.sig, self.class_of[i]) {
-                Some(predicted_us) => candidates.push(Candidate {
-                    device: i,
-                    backlog_us: self.devices[i].backlog(),
-                    predicted_us,
-                    penalty_us: self.locality_penalty(i, home, op_bytes),
-                }),
-                None => plan_rejected = true,
-            }
-        }
-        if candidates.is_empty() {
-            return Err(PlaceFail { job, any_full: false, plan_rejected });
-        }
-        let all_open = candidates.iter().all(|c| self.devices[c.device].breaker.is_open());
-        let candidates = placer::rank(candidates);
-        let mut any_full = false;
-        for c in &candidates {
-            if !all_open && self.devices[c.device].breaker.consume_open() {
-                continue;
-            }
-            job.predicted_us = c.predicted_us;
-            self.devices[c.device].backlog_us += c.predicted_us;
-            match self.devices[c.device].queue.try_push(job) {
-                Ok(()) => {
-                    self.finish_placement(c.device, job.sig);
-                    return Ok(c.device);
-                }
-                Err((kind, j)) => {
-                    self.devices[c.device].backlog_us -= c.predicted_us;
-                    any_full |= kind == PushError::Full;
-                    job = j;
-                }
-            }
-        }
-        Err(PlaceFail { job, any_full, plan_rejected: false })
-    }
-
-    fn finish_placement(&mut self, device: usize, sig: SigId) {
-        self.devices[device].placements += 1;
-        self.stats.routed.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs() {
-            o.point(PointKind::Routed { device });
-        }
-        self.account_residency(device, sig);
-        self.index_touch(device);
-    }
-
-    /// The locality routing penalty for placing this batch on `device`,
-    /// given the residency snapshot `home` — a mirror of the threaded
-    /// engine's `locality_penalty`. Zero for the resident device, for
-    /// monolithic topologies, and under a blind policy; never folded
-    /// into `predicted_us`.
-    fn locality_penalty(&self, device: usize, home: Option<OperandHome>, op_bytes: u64) -> f64 {
-        if !self.cfg.locality.enabled {
-            return 0.0;
-        }
-        if home.is_some_and(|h| h.device == device) {
-            return 0.0;
-        }
-        let topo = &self.devices[device].arch().topology;
-        ctb_sim::locality_penalty_us(topo, ctb_sim::remote_operand_bytes(topo, op_bytes))
-    }
-
-    /// Residency accounting at a landing (placement or steal): hit when
-    /// the batch's operands already live on `device`, otherwise a miss
-    /// that charges the remote share of the operand bytes and re-homes
-    /// the signature on `device` (last writer wins) — one
-    /// [`PlanShare::rehome_residency`] round-trip either way. Runs under
-    /// aware *and* blind policies — the bench arms differ only in
-    /// ranking.
-    fn account_residency(&mut self, device: usize, sig: SigId) {
-        let info = self.sigs.info(sig);
-        let (sig_hash, op_bytes) = (info.hash, info.op_bytes);
-        let topo = self.devices[device].arch().topology;
-        let home = OperandHome { device, chiplet: topo.home_chiplet(sig_hash) };
-        if self.share.rehome_residency(sig_hash, home).is_some_and(|h| h.device == device) {
-            self.stats.residency_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.obs() {
-                o.point(PointKind::ResidencyHit { device });
-            }
-            return;
-        }
-        self.stats.residency_misses.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .remote_operand_bytes
-            .fetch_add(ctb_sim::remote_operand_bytes(&topo, op_bytes), Ordering::Relaxed);
-        if let Some(o) = self.obs() {
-            o.point(PointKind::ResidencyMiss { device });
+        match core::land(self, c.device, job, c.predicted_us) {
+            Ok(()) => Ok(Ok(c.device)),
+            Err((_, job)) => Err(job),
         }
     }
 
@@ -1642,7 +1409,7 @@ impl EventCluster {
         if self.ground_truth.is_none() {
             return job.predicted_us;
         }
-        self.actual_us(device, job.sig)
+        self.actual_us(device, job.body.sig)
     }
 
     /// Memoized "what the true silicon takes" for `shapes` on
@@ -1670,6 +1437,19 @@ impl EventCluster {
         us
     }
 
+    /// A witness's matrices, rebuilt from its data seed.
+    fn witness_batch(&self, job: &EvJob) -> GemmBatch {
+        GemmBatch::random(self.sigs.shapes(job.body.sig), WITNESS_ALPHA, WITNESS_BETA, job.body.seed)
+    }
+
+    /// Count a witness and bitwise-check its results against the oracle.
+    fn check_witness(&mut self, batch: &GemmBatch, results: &[MatF32]) {
+        self.witnesses += 1;
+        if bitwise_mismatch(&batch.reference_result_exact(), results).is_some() {
+            self.witness_mismatches += 1;
+        }
+    }
+
     /// Coordinated completion. Witnesses execute for real and are
     /// bitwise-checked; everyone else completes by accounting, charging
     /// the simulated time the placer predicted — which is the identical
@@ -1680,186 +1460,46 @@ impl EventCluster {
     /// true-arch simulation (making the error real); witness execution
     /// and its bitwise check are timing-independent and unchanged.
     fn complete_job(&mut self, device: usize, job: EvJob) {
-        let model_time = if job.witness {
-            self.witnesses += 1;
-            let batch =
-                GemmBatch::random(self.sigs.shapes(job.sig), WITNESS_ALPHA, WITNESS_BETA, job.seed);
+        let model_time = if job.body.witness {
+            let batch = self.witness_batch(&job);
             // Plan first (warm cache), then the Exec span — the same
             // span order the threaded worker produces.
             let plan = self.devices[device]
                 .session
                 .plan(&batch.shapes)
                 .expect("witness plan is warm: placement already planned this signature");
-            let obs_arc = self.obs.clone();
-            let guard = obs_arc.as_ref().map(|o| o.span(SpanKind::Exec));
+            let obs = self.obs.clone();
+            let guard = obs.as_ref().map(|o| o.span(SpanKind::Exec));
             let (results, report) = self.devices[device].session.framework().execute(&batch, &plan);
             if let Some(g) = guard {
                 g.finish();
             }
-            let oracle = batch.reference_result_exact();
-            if bitwise_mismatch(&oracle, &results).is_some() {
-                self.witness_mismatches += 1;
-            }
+            self.check_witness(&batch, &results);
             report.total_us
         } else {
-            if let Some(o) = self.obs() {
+            if let Some(o) = &self.obs {
                 o.span(SpanKind::Exec).finish();
             }
             job.predicted_us
         };
         let executed_us = if self.ground_truth.is_some() {
-            self.actual_us(device, job.sig)
+            self.actual_us(device, job.body.sig)
         } else {
             model_time
         };
         if let Some(log) = &mut self.decisions {
-            let cell = self.sigs.cell(job.sig, self.class_of[device]);
+            let cell = self.sigs.cell(job.body.sig, self.class_of[device]);
             log.push(PlacementDecision {
                 id: job.id,
                 device,
                 arch: self.devices[device].arch().name,
-                shapes: Arc::clone(self.sigs.shapes(job.sig)),
+                shapes: Arc::clone(self.sigs.shapes(job.body.sig)),
                 model_us: cell.model_us.unwrap_or(job.predicted_us),
                 predicted_us: job.predicted_us,
                 actual_us: executed_us,
             });
         }
-        let dev = &mut self.devices[device];
-        dev.breaker.record_success();
-        dev.backlog_us -= job.predicted_us;
-        dev.busy_sim_us += executed_us;
-        dev.completed += 1;
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        self.stats.record_placement_err(job.predicted_us, executed_us);
-        let wall_us = self.now.as_ns().saturating_sub(job.arrived.as_ns()) as f64 / 1_000.0;
-        self.stats.record_latency(wall_us);
-        if let Some(o) = self.obs() {
-            o.point(PointKind::BatchDone { req: job.id, device, degraded: false, abandoned: false });
-        }
-        self.open_jobs -= 1;
-        if self.cfg.record_outcomes {
-            self.outcomes.push(ReqOutcome::Done {
-                id: job.id,
-                device,
-                degraded: false,
-                stolen: job.stolen,
-                reroutes: job.attempts,
-            });
-        }
-        self.index_touch(device);
-    }
-
-    /// Threaded `fail_and_reroute`, verbatim order: charge the breaker
-    /// (a trip drains the queue onto survivors *before* this job
-    /// moves), release the backlog, then re-route the failing job.
-    fn fail_and_reroute(&mut self, device: usize, job: EvJob) {
-        if self.devices[device].breaker.record_failure() {
-            self.devices[device].breaker_trips += 1;
-            self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
-            self.breaker_active = true;
-            if let Some(o) = self.obs() {
-                o.point(PointKind::BreakerTrip);
-                o.dump_flight("breaker trip");
-            }
-            self.drain_and_reroute(device);
-            if !self.devices[device].probe_pending && self.work_pending() {
-                self.devices[device].probe_pending = true;
-                self.timeline.schedule(self.now.plus(PROBE_NS), Ev::BreakerProbe(dev_key(device)));
-            }
-        }
-        self.devices[device].backlog_us -= job.predicted_us;
-        self.index_touch(device);
-        self.reroute(job, device);
-    }
-
-    fn drain_and_reroute(&mut self, device: usize) {
-        while let Some(job) = self.devices[device].queue.pop() {
-            self.devices[device].backlog_us -= job.predicted_us;
-            self.reroute(job, device);
-        }
-        self.index_touch(device);
-    }
-
-    fn reroute(&mut self, mut job: EvJob, from: usize) {
-        job.attempts += 1;
-        self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
-        self.devices[from].reroutes_out += 1;
-        if let Some(o) = self.obs() {
-            o.point(PointKind::Reroute { from });
-        }
-        if job.attempts > self.cfg.max_reroutes {
-            self.degrade_inline(job);
-            return;
-        }
-        match self.place_attempt(job, Some(from)) {
-            Ok(device) => self.maybe_start(device),
-            Err(fail) => self.degrade_inline(fail.job),
-        }
-    }
-
-    /// Terminal fallback, mirroring the threaded `degrade_inline`: the
-    /// strongest live device's architecture parametrises the baseline;
-    /// only witnesses actually run it (degraded results are bitwise-
-    /// exact too, so the sample proves the path).
-    fn degrade_inline(&mut self, job: EvJob) {
-        let donor = self.devices.iter().find(|d| d.alive).map_or(0, |d| d.id);
-        let inject = self.devices[donor].roll(FaultSite::DegradedPanic);
-        let obs_arc = self.obs.clone();
-        let guard = obs_arc.as_ref().map(|o| o.span(SpanKind::DegradedExec));
-        if inject {
-            // The injected baseline panic: span closed first, then the
-            // caught-panic bookkeeping, then the terminal Failed event
-            // — the threaded engine's exact tail.
-            if let Some(g) = guard {
-                g.finish();
-            }
-            self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.obs() {
-                o.point(PointKind::PanicCaught);
-                o.dump_flight("degraded worker panic");
-                o.point(PointKind::Failed { req: job.id, abandoned: false });
-            }
-            self.open_jobs -= 1;
-            if self.cfg.record_outcomes {
-                self.outcomes.push(ReqOutcome::Failed { id: job.id });
-            }
-            return;
-        }
-        if job.witness {
-            self.witnesses += 1;
-            let batch =
-                GemmBatch::random(self.sigs.shapes(job.sig), WITNESS_ALPHA, WITNESS_BETA, job.seed);
-            let results = ctb_baselines::default_functional(self.devices[donor].arch(), &batch);
-            let oracle = batch.reference_result_exact();
-            if bitwise_mismatch(&oracle, &results).is_some() {
-                self.witness_mismatches += 1;
-            }
-        }
-        if let Some(g) = guard {
-            g.finish();
-        }
-        let wall_us = self.now.as_ns().saturating_sub(job.arrived.as_ns()) as f64 / 1_000.0;
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        self.stats.degraded.fetch_add(1, Ordering::Relaxed);
-        self.stats.record_latency(wall_us);
-        if let Some(o) = self.obs() {
-            o.point(PointKind::BatchDone {
-                req: job.id,
-                device: donor,
-                degraded: true,
-                abandoned: false,
-            });
-        }
-        self.open_jobs -= 1;
-        if self.cfg.record_outcomes {
-            self.outcomes.push(ReqOutcome::Done {
-                id: job.id,
-                device: donor,
-                degraded: true,
-                stolen: job.stolen,
-                reroutes: job.attempts,
-            });
-        }
+        core::complete(self, device, job, executed_us, ());
     }
 
     // -- stealing ---------------------------------------------------------
@@ -1876,59 +1516,199 @@ impl EventCluster {
         self.devices[device].steal_pending = true;
         self.timeline.schedule(self.now.plus(poll_ns.max(1)), Ev::StealCheck(dev_key(device)));
     }
+}
 
-    /// The threaded `try_steal`, event-shaped: victim selection, the
-    /// `steal_beneficial` test, and the identity-checked claim all run
-    /// through the same seams.
-    fn try_steal(&mut self, thief_idx: usize) -> bool {
-        let mut victim: Option<(usize, f64)> = None;
-        for dev in &self.devices {
-            if dev.id == thief_idx || !dev.alive || dev.queue.is_empty() {
-                continue;
-            }
-            let backlog = dev.backlog();
-            if backlog >= self.cfg.steal.min_victim_backlog_us
-                && victim.is_none_or(|(_, b)| backlog > b)
-            {
-                victim = Some((dev.id, backlog));
-            }
+/// The event engine as the scheduling core sees it: plain device fields
+/// and single-threaded queues, touched by one event handler at a time.
+/// The accessors the core calls per event are `#[inline]`: the core's
+/// generic code may be instantiated in another codegen unit, where a
+/// plain method stays an out-of-line call on the per-event path.
+impl Pool for EventCluster {
+    type Body = Req;
+    type Sig = SigId;
+    type PlanErr = ();
+    type Out = ();
+
+    #[inline]
+    fn policy(&self) -> Policy {
+        Policy {
+            locality: self.cfg.locality.enabled,
+            max_reroutes: self.cfg.max_reroutes,
+            min_victim_backlog_us: self.cfg.steal.min_victim_backlog_us,
         }
-        let Some((victim_idx, victim_backlog)) = victim else {
-            return false;
-        };
-        let Some(sig) = self.devices[victim_idx].queue.front().map(|j| j.sig) else {
-            return false;
-        };
+    }
+
+    #[inline]
+    fn share(&self) -> &PlanShare {
+        &self.share
+    }
+
+    #[inline]
+    fn stats(&self) -> &ClusterInner {
+        &self.stats
+    }
+
+    #[inline]
+    fn obs(&self) -> Option<&Arc<Obs>> {
+        self.obs.as_ref()
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.devices.len()
+    }
+
+    #[inline]
+    fn session(&self, d: usize) -> &Session {
+        &self.devices[d].session
+    }
+
+    #[inline]
+    fn breaker(&self, d: usize) -> &Breaker {
+        &self.devices[d].breaker
+    }
+
+    #[inline]
+    fn alive(&self, d: usize) -> bool {
+        self.devices[d].alive
+    }
+
+    fn mark_dead(&mut self, d: usize) -> bool {
+        let dev = &mut self.devices[d];
+        dev.queue.close();
+        std::mem::replace(&mut dev.alive, false)
+    }
+
+    #[inline]
+    fn backlog(&self, d: usize) -> f64 {
+        self.devices[d].backlog_us
+    }
+
+    #[inline]
+    fn add_backlog(&mut self, d: usize, delta: f64) {
+        self.devices[d].backlog_us += delta;
+    }
+
+    fn busy_us(&self, d: usize) -> f64 {
+        self.devices[d].busy_sim_us
+    }
+
+    #[inline]
+    fn add_busy(&mut self, d: usize, us: f64) {
+        self.devices[d].busy_sim_us += us;
+    }
+
+    fn tally(&self, d: usize) -> [usize; TALLIES] {
+        self.devices[d].tally
+    }
+
+    #[inline]
+    fn bump(&mut self, d: usize, t: Tally) {
+        self.devices[d].tally[t as usize] += 1;
+    }
+
+    fn queue_len(&self, d: usize) -> usize {
+        self.devices[d].queue.len()
+    }
+
+    #[inline]
+    fn try_push(&mut self, d: usize, job: EvJob) -> Result<(), (PushError, EvJob)> {
+        self.devices[d].queue.try_push(job)
+    }
+
+    fn pop(&mut self, d: usize) -> Option<EvJob> {
+        self.devices[d].queue.pop()
+    }
+
+    fn front_sig(&self, d: usize) -> Option<SigId> {
+        self.devices[d].queue.front().map(|j| j.body.sig)
+    }
+
+    fn pop_if_sig(&mut self, d: usize, sig: &SigId) -> Option<EvJob> {
+        self.devices[d].queue.pop_if(|j| j.body.sig == *sig)
+    }
+
+    #[inline]
+    fn sig(job: &EvJob) -> &SigId {
+        &job.body.sig
+    }
+
+    #[inline]
+    fn sig_key(&self, sig: &SigId) -> (u64, u64) {
+        let info = self.sigs.info(*sig);
+        (info.hash, info.op_bytes)
+    }
+
+    #[inline]
+    fn predict(&mut self, sig: &SigId, d: usize) -> Result<f64, ()> {
+        self.class_prediction(*sig, self.class_of[d]).ok_or(())
+    }
+
+    #[inline]
+    fn wall_us(&self, job: &EvJob) -> f64 {
+        self.now.as_ns().saturating_sub(job.body.arrived.as_ns()) as f64 / 1_000.0
+    }
+
+    /// Only witnesses actually run the baseline: degraded results are
+    /// bitwise-exact too, so the sample proves the path.
+    fn degraded_exec(&mut self, donor: usize, job: &EvJob) -> Result<(), String> {
+        if self.devices[donor].roll(FaultSite::DegradedPanic) {
+            return Err(String::new());
+        }
+        if job.body.witness {
+            let batch = self.witness_batch(job);
+            let results = ctb_baselines::default_functional(self.devices[donor].arch(), &batch);
+            self.check_witness(&batch, &results);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn respond(&mut self, job: EvJob, end: End<()>) -> bool {
+        self.open_jobs -= 1;
+        if self.cfg.record_outcomes {
+            self.outcomes.push(match end {
+                End::Done { device, degraded, .. } => ReqOutcome::Done {
+                    id: job.id,
+                    device,
+                    degraded,
+                    stolen: job.stolen,
+                    reroutes: job.attempts,
+                },
+                End::Failed(_) => ReqOutcome::Failed { id: job.id },
+            });
+        }
+        false
+    }
+
+    /// The indexed fast path when [`EventCluster::use_index`] allows it,
+    /// falling back to the core's exact scan when its queue refuses.
+    fn place(&mut self, job: EvJob, exclude: Option<usize>) -> Result<usize, PlaceFail<Self>> {
         self.sync_calib();
-        let Some(predicted_here) = self.predict(sig, self.class_of[thief_idx]) else {
-            return false;
-        };
-        if !placer::steal_beneficial(
-            victim_backlog,
-            predicted_here,
-            self.cfg.steal.min_victim_backlog_us,
-        ) {
-            return false;
+        if !self.use_index(exclude) {
+            return core::place_exact(self, job, exclude);
         }
-        let Some(mut job) = self.devices[victim_idx].queue.pop_if(|j| j.sig == sig) else {
-            return false;
-        };
-        self.devices[victim_idx].backlog_us -= job.predicted_us;
-        self.index_touch(victim_idx);
-        job.predicted_us = predicted_here;
-        job.stolen = true;
-        self.devices[thief_idx].backlog_us += predicted_here;
-        self.devices[thief_idx].steals += 1;
-        self.stats.steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs() {
-            o.point(PointKind::Steal { to: thief_idx, from: victim_idx });
+        match self.place_indexed(job) {
+            Ok(placed) => placed,
+            Err(job) => core::place_exact(self, job, exclude),
         }
-        // A steal moves the operands with the work: the thief becomes
-        // the holder, same as the threaded engine.
-        self.account_residency(thief_idx, sig);
-        self.index_touch(thief_idx);
-        self.start_job(thief_idx, job);
-        true
+    }
+
+    #[inline]
+    fn touched(&mut self, d: usize) {
+        self.index_touch(d);
+    }
+
+    fn placed(&mut self, d: usize) {
+        self.maybe_start(d);
+    }
+
+    /// Placement stays on the exact scan from the first trip on (the
+    /// open-window sidelining is per candidate), and a healing probe
+    /// re-kicks the device once its window is served.
+    fn tripped(&mut self, d: usize) {
+        self.breaker_active = true;
+        self.schedule_probe(d);
     }
 }
 
@@ -1954,26 +1734,22 @@ fn load_shapes(r: &mut Reader<'_>) -> Result<Arc<[GemmShape]>, SavestateError> {
 
 fn save_job(w: &mut Writer, j: &EvJob, sigs: &SigTable) {
     w.u64(j.id);
-    save_shapes(w, sigs.shapes(j.sig));
-    w.u64(j.seed);
-    w.u64(j.arrived.as_ns());
+    save_shapes(w, sigs.shapes(j.body.sig));
+    w.u64(j.body.seed);
+    w.u64(j.body.arrived.as_ns());
     w.f64(j.predicted_us);
     w.u32(j.attempts);
     w.bool(j.stolen);
-    w.bool(j.witness);
+    w.bool(j.body.witness);
 }
 
 fn load_job(r: &mut Reader<'_>, sigs: &mut SigTable) -> Result<EvJob, SavestateError> {
-    Ok(EvJob {
-        id: r.u64()?,
-        sig: sigs.intern(&load_shapes(r)?),
-        seed: r.u64()?,
-        arrived: SimTime(r.u64()?),
-        predicted_us: r.f64()?,
-        attempts: r.u32()?,
-        stolen: r.bool()?,
-        witness: r.bool()?,
-    })
+    let id = r.u64()?;
+    let sig = sigs.intern(&load_shapes(r)?);
+    let (seed, arrived) = (r.u64()?, SimTime(r.u64()?));
+    let (predicted_us, attempts, stolen) = (r.f64()?, r.u32()?, r.bool()?);
+    let body = Req { sig, seed, arrived, witness: r.bool()? };
+    Ok(Job { id, predicted_us, attempts, stolen, body })
 }
 
 /// Serialize an event in the blob's historical layout: job-carrying
@@ -2374,11 +2150,9 @@ impl EventCluster {
                 }
                 None => w.bool(false),
             }
-            w.len_prefix(d.placements);
-            w.len_prefix(d.completed);
-            w.len_prefix(d.steals);
-            w.len_prefix(d.reroutes_out);
-            w.len_prefix(d.breaker_trips);
+            for v in d.tally {
+                w.len_prefix(v);
+            }
             w.bool(d.steal_pending);
             w.bool(d.probe_pending);
             // Plan-cache accounting, pinned back after the restore
@@ -2483,192 +2257,120 @@ impl EventCluster {
         } else {
             (None, None)
         };
-        let now = SimTime(r.u64()?);
-        let next_job_id = r.u64()?;
-        let events_processed = r.u64()?;
-        let requests = r.len_prefix()?;
-        let witnesses = r.len_prefix()?;
-        let witness_mismatches = r.len_prefix()?;
-        let pending_arrivals = r.len_prefix()?;
-        let open_jobs = r.len_prefix()?;
-        let breaker_active = r.bool()?;
-        let gen = if r.bool()? { Some(load_gen(&mut r)?) } else { None };
-
-        let n_devices = r.len_prefix()?;
-        if n_devices != pool.len() {
+        if pool.is_empty() {
+            return Err(SavestateError::Mismatch("the restore pool is empty".into()));
+        }
+        // A fresh engine over the pool: its sessions, share (the cfg
+        // carries the shard/capacity/admission layout the blob's share
+        // image describes) and class tables; the blob then overwrites
+        // every piece of state it carries.
+        let n_devices = pool.len();
+        let mut eng = EventCluster::build(pool, cfg, vec![None; n_devices], obs.clone(), clock, false);
+        eng.now = SimTime(r.u64()?);
+        eng.next_job_id = r.u64()?;
+        eng.events_processed = r.u64()?;
+        eng.requests = r.len_prefix()?;
+        eng.witnesses = r.len_prefix()?;
+        eng.witness_mismatches = r.len_prefix()?;
+        eng.pending_arrivals = r.len_prefix()?;
+        eng.open_jobs = r.len_prefix()?;
+        eng.breaker_active = r.bool()?;
+        if r.bool()? {
+            let gen = load_gen(&mut r)?;
+            eng.gen_sigs = gen.mixes.iter().map(|m| eng.sigs.intern(&m.shapes)).collect();
+            eng.gen = Some(gen);
+        }
+        let saved_devices = r.len_prefix()?;
+        if saved_devices != n_devices {
             return Err(SavestateError::Mismatch(format!(
-                "checkpoint holds {n_devices} devices, restore pool holds {}",
-                pool.len()
+                "checkpoint holds {saved_devices} devices, restore pool holds {n_devices}"
             )));
         }
-        // The cfg (loaded above) carries the share's shard/capacity/
-        // admission layout, so the receiving share matches the gate and
-        // shard images embedded later in the blob.
-        let share = Arc::new(PlanShare::with_config(cfg.share));
-        let mut class_names: Vec<&'static str> = Vec::new();
-        let mut class_of = Vec::with_capacity(n_devices);
-        let mut class_rep = Vec::new();
-        for (id, arch) in pool.iter().enumerate() {
-            let class = match class_names.iter().position(|n| *n == arch.name) {
-                Some(c) => c,
-                None => {
-                    class_names.push(arch.name);
-                    class_rep.push(id);
-                    class_names.len() - 1
-                }
-            };
-            class_of.push(class);
-        }
-        let mut sigs = SigTable::new(class_rep.len());
-        let gen_sigs = match &gen {
-            Some(g) => g.mixes.iter().map(|m| sigs.intern(&m.shapes)).collect(),
-            None => Vec::new(),
-        };
-        let mut devices = Vec::with_capacity(n_devices);
         let mut session_stats = Vec::with_capacity(n_devices);
-        for (id, arch) in pool.into_iter().enumerate() {
+        for id in 0..n_devices {
             let saved_name = r.str()?;
+            let arch = eng.devices[id].arch();
             if saved_name != arch.name {
                 return Err(SavestateError::Mismatch(format!(
                     "device {id}: checkpoint arch {saved_name:?}, restore pool has {:?}",
                     arch.name
                 )));
             }
-            let s = Session::with_share(Framework::new(arch), Arc::clone(&share));
-            let session = Arc::new(match &obs {
-                Some(o) => s.with_obs(Arc::clone(o)),
-                None => s,
-            });
             let alive = r.bool()?;
             let closed = r.bool()?;
-            let items = r.seq(|r| load_job(r, &mut sigs))?;
-            let queue = DeviceQueue::restore(cfg.queue_capacity, closed, items);
+            let items = r.seq(|r| load_job(r, &mut eng.sigs))?;
             let running = if r.bool()? {
-                let job = load_job(&mut r, &mut sigs)?;
-                let fate = load_fate(&mut r)?;
-                Some(Running { job, fate })
+                let job = load_job(&mut r, &mut eng.sigs)?;
+                Some(Running { job, fate: load_fate(&mut r)? })
             } else {
                 None
             };
-            let backlog_us = r.f64()?;
-            let busy_sim_us = r.f64()?;
-            let consecutive = r.len_prefix()?;
-            let open_remaining = r.len_prefix()?;
-            let breaker = Breaker::restore(cfg.breaker.clone(), consecutive, open_remaining);
-            let fault = if r.bool()? { Some(Arc::new(load_fault(&mut r)?)) } else { None };
-            let placements = r.len_prefix()?;
-            let completed = r.len_prefix()?;
-            let steals = r.len_prefix()?;
-            let reroutes_out = r.len_prefix()?;
-            let breaker_trips = r.len_prefix()?;
-            let steal_pending = r.bool()?;
-            let probe_pending = r.bool()?;
-            let hits = r.len_prefix()?;
-            let misses = r.len_prefix()?;
-            let plan_failures = r.len_prefix()?;
-            session_stats.push((hits, misses, plan_failures));
+            let (cap, policy) = (eng.cfg.queue_capacity, eng.cfg.breaker.clone());
+            let d = &mut eng.devices[id];
+            d.alive = alive;
+            d.queue = DeviceQueue::restore(cap, closed, items);
+            d.running = running;
+            d.backlog_us = r.f64()?;
+            d.busy_sim_us = r.f64()?;
+            d.breaker = Breaker::restore(policy, r.len_prefix()?, r.len_prefix()?);
+            d.fault = if r.bool()? { Some(Arc::new(load_fault(&mut r)?)) } else { None };
+            for v in &mut d.tally {
+                *v = r.len_prefix()?;
+            }
+            d.steal_pending = r.bool()?;
+            d.probe_pending = r.bool()?;
+            session_stats.push((r.len_prefix()?, r.len_prefix()?, r.len_prefix()?));
             let topo = ctb_gpu_specs::ChipletTopology {
                 chiplets: r.u32()?,
                 local_bandwidth_gbps: r.f64()?,
                 remote_bandwidth_gbps: r.f64()?,
                 interposer_latency_us: r.f64()?,
             };
-            let pool_topo = session.framework().arch().topology;
+            let pool_topo = d.arch().topology;
             if topo != pool_topo {
                 return Err(SavestateError::Mismatch(format!(
                     "device {id}: checkpoint topology {topo:?}, restore pool has {pool_topo:?}"
                 )));
             }
-            devices.push(EvDevice {
-                id,
-                session,
-                queue,
-                running,
-                backlog_us,
-                busy_sim_us,
-                alive,
-                breaker,
-                fault,
-                placements,
-                completed,
-                steals,
-                reroutes_out,
-                breaker_trips,
-                steal_pending,
-                probe_pending,
-            });
         }
-        let mut jobs = JobSlab::default();
-        let timeline =
-            Timeline::load_with(&mut r, |r| load_ev(r, &mut jobs, &mut sigs, n_devices))?;
+        let (jobs, sigs) = (&mut eng.jobs, &mut eng.sigs);
+        eng.timeline = Timeline::load_with(&mut r, |r| load_ev(r, jobs, sigs, n_devices))?;
         {
-            let sessions: Vec<&Session> = devices.iter().map(|d| &*d.session).collect();
-            share.restore_with_sessions(&mut r, &sessions)?;
+            let sessions: Vec<&Session> = eng.devices.iter().map(|d| &*d.session).collect();
+            eng.share.restore_with_sessions(&mut r, &sessions)?;
         }
-        for (d, (hits, misses, plan_failures)) in devices.iter().zip(session_stats) {
+        for (d, (hits, misses, plan_failures)) in eng.devices.iter().zip(session_stats) {
             d.session.set_stats(CacheStats { hits, misses });
             d.session.set_plan_failures(plan_failures);
         }
         let n_preds = r.len_prefix()?;
         for _ in 0..n_preds {
             let name = r.str()?;
-            let Some(class) = class_names.iter().position(|n| *n == name) else {
+            let class_rep = &eng.class_rep;
+            let Some(class) = class_rep.iter().position(|&d| eng.devices[d].arch().name == name)
+            else {
                 return Err(SavestateError::Mismatch(format!(
                     "prediction cache names arch {name:?}, absent from the restore pool"
                 )));
             };
-            let sig = sigs.intern(&load_shapes(&mut r)?);
+            let sig = eng.sigs.intern(&load_shapes(&mut r)?);
             let res = match r.u8()? {
                 0 => Ok(r.f64()?),
                 1 => Err(r.str()?),
                 t => return Err(SavestateError::Corrupt(format!("bad prediction tag {t}"))),
             };
-            sigs.cell_mut(sig, class).pred = Some(res);
+            eng.sigs.cell_mut(sig, class).pred = Some(res);
         }
-        let outcomes = r.seq(load_outcome)?;
-        let stats = ClusterInner::default();
-        load_stats(&mut r, &stats)?;
-        if let (Some(clock), Some(obs)) = (&clock, &obs) {
+        eng.outcomes = r.seq(load_outcome)?;
+        load_stats(&mut r, &eng.stats)?;
+        if let (Some(clock), Some(obs)) = (&eng.clock, &eng.obs) {
             clock.set(r.u64()?);
             obs.restore_state(&mut r)?;
         }
         r.expect_end()?;
         // The per-class index restarts from the live backlogs: one fresh
         // entry per alive device reproduces the same argmin choices.
-        let index = PlacementIndex::new(class_rep.len(), devices.len());
-        let has_chiplets = devices.iter().any(|d| !d.arch().topology.is_unified());
-        let mut eng = EventCluster {
-            cfg,
-            devices,
-            share,
-            timeline,
-            jobs,
-            obs: obs.clone(),
-            clock,
-            stats,
-            outcomes,
-            sigs,
-            class_of,
-            class_rep,
-            index,
-            breaker_active,
-            has_chiplets,
-            gen,
-            gen_sigs,
-            now,
-            next_job_id,
-            events_processed,
-            requests,
-            witnesses,
-            witness_mismatches,
-            pending_arrivals,
-            open_jobs,
-            ground_truth: None,
-            decisions: None,
-            calib_version: 0,
-            swappable: false,
-        };
-        for id in 0..eng.devices.len() {
+        for id in 0..n_devices {
             eng.index_touch(id);
         }
         Ok((eng, obs))
@@ -2683,14 +2385,7 @@ impl EventCluster {
     /// [`import_jobs`](Self::import_jobs) it with zero drops.
     pub fn halt_and_export(&mut self, device: usize) -> Vec<u8> {
         assert!(device < self.devices.len(), "no such device");
-        if self.devices[device].alive {
-            self.devices[device].alive = false;
-            self.stats.kills.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.obs() {
-                o.point(PointKind::Kill { device });
-            }
-            self.devices[device].queue.close();
-        }
+        core::retire(self, device);
         // Dead devices leave the placement index.
         self.index_touch(device);
         let mut jobs = Vec::new();
@@ -2720,7 +2415,7 @@ impl EventCluster {
         for mut job in jobs {
             job.id = self.next_job_id;
             self.next_job_id += 1;
-            job.arrived = self.now;
+            job.body.arrived = self.now;
             job.attempts = 0;
             self.schedule_arrival(self.now, job);
         }
@@ -2998,16 +2693,7 @@ mod tests {
     }
 
     fn job(id: u64) -> EvJob {
-        EvJob {
-            id,
-            sig: SigId(0),
-            seed: 0,
-            arrived: SimTime::ZERO,
-            predicted_us: 0.0,
-            attempts: 0,
-            stolen: false,
-            witness: false,
-        }
+        Job::new(id, Req { sig: SigId(0), seed: 0, arrived: SimTime::ZERO, witness: false })
     }
 
     proptest::proptest! {

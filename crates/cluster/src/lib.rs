@@ -37,6 +37,7 @@
 //! ```
 
 mod cluster;
+mod core;
 pub mod drift;
 pub mod events;
 mod fifo;

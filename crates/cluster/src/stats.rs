@@ -201,10 +201,11 @@ impl ClusterInner {
     }
 
     /// Assemble the snapshot around an externally gathered per-device
-    /// breakdown and cache aggregates.
+    /// breakdown and cache aggregates, filling in each device's
+    /// utilization against the pool makespan.
     pub fn snapshot(
         &self,
-        devices: Vec<DeviceStats>,
+        mut devices: Vec<DeviceStats>,
         plan_cache: CacheStats,
         sim_memo: CacheStats,
     ) -> ClusterStats {
@@ -213,6 +214,9 @@ impl ClusterInner {
         let err_count = self.err_count.load(Ordering::Relaxed);
         let makespan_sim_us =
             devices.iter().map(|d| d.busy_sim_us).fold(0.0, f64::max);
+        for d in &mut devices {
+            d.utilization = if makespan_sim_us > 0.0 { d.busy_sim_us / makespan_sim_us } else { 0.0 };
+        }
         let total_sim_us = devices.iter().map(|d| d.busy_sim_us).sum();
         ClusterStats {
             submitted: self.submitted.load(Ordering::Relaxed),

@@ -99,36 +99,34 @@ impl<T> BoundedQueue<T> {
     /// Submission batching: move items from the front of `buf` into the
     /// queue while there is capacity, under a single lock acquisition.
     /// Returns how many were pushed plus the blocker that stopped the
-    /// flush (`None` when `buf` was fully drained). Same error priority
-    /// as [`BoundedQueue::try_push`]: `Full` when the queue is at
-    /// capacity (even if also closed), `Closed` otherwise.
+    /// flush: `None` whenever `buf` was fully drained — also when the
+    /// last item took the last free slot, because nothing is left
+    /// waiting on that slot. Otherwise the same error priority as
+    /// [`BoundedQueue::try_push`]: `Full` when the queue is at capacity
+    /// (even if also closed), `Closed` otherwise.
     pub fn try_push_many(&self, buf: &mut VecDeque<T>) -> (usize, Option<PushError>) {
         if buf.is_empty() {
             return (0, None);
         }
         let mut pushed = 0usize;
-        let blocker;
         let mut st = self.lock();
-        loop {
+        let blocker = loop {
+            // An empty buffer is checked first: a flush whose last item
+            // fills the queue has nothing left over, so it must not
+            // report `Full` (a caller would wait for a slot it no
+            // longer needs).
+            if buf.is_empty() {
+                break None;
+            }
             if st.q.len() >= self.capacity {
-                blocker = Some(PushError::Full);
-                break;
+                break Some(PushError::Full);
             }
             if st.closed {
-                blocker = Some(PushError::Closed);
-                break;
+                break Some(PushError::Closed);
             }
-            match buf.pop_front() {
-                Some(item) => {
-                    st.q.push_back(item);
-                    pushed += 1;
-                }
-                None => {
-                    blocker = None;
-                    break;
-                }
-            }
-        }
+            st.q.extend(buf.pop_front());
+            pushed += 1;
+        };
         drop(st);
         if pushed > 0 {
             self.not_empty.notify_all();
@@ -491,6 +489,57 @@ mod invariant_props {
         prop_assert_eq!(drained, model.into_iter().collect::<Vec<_>>());
     }
 
+    /// Flush script against a `VecDeque` model: `(op, n)` with op 0 =
+    /// buffer `n` new items and flush them with `try_push_many`, 1 = pop
+    /// up to `n` items, 2 = close. The flush must push exactly what fits,
+    /// keep the unpushed tail buffered in order, report `Full` or
+    /// `Closed` only when items are left over, and let full win over
+    /// closed.
+    fn apply_flush_script(cap: usize, ops: &[(u32, usize)]) {
+        let q: BoundedQueue<u64> = BoundedQueue::new(cap);
+        let cap = cap.max(1);
+        let (mut model, mut buf) = (VecDeque::new(), VecDeque::new());
+        let mut closed = false;
+        let mut next_id: u64 = 0;
+        for &(op, n) in ops {
+            match op % 3 {
+                0 => {
+                    buf.extend(next_id..next_id + n as u64);
+                    next_id += n as u64;
+                    let mut model_buf = buf.clone();
+                    let room = if closed { 0 } else { cap - model.len() };
+                    let fit = room.min(model_buf.len());
+                    model.extend(model_buf.drain(..fit));
+                    let want_blocker = if model_buf.is_empty() {
+                        None
+                    } else if model.len() >= cap {
+                        Some(PushError::Full)
+                    } else {
+                        Some(PushError::Closed)
+                    };
+                    let got = q.try_push_many(&mut buf);
+                    prop_assert_eq!(got, (fit, want_blocker));
+                    prop_assert_eq!(&buf, &model_buf, "unpushed tail stays buffered in order");
+                }
+                1 => {
+                    for _ in 0..n {
+                        let r = q.pop_until(Instant::now());
+                        match (model.pop_front(), closed) {
+                            (Some(want), _) => prop_assert_eq!(r, Ok(Some(want))),
+                            (None, true) => prop_assert_eq!(r, Ok(None)),
+                            (None, false) => prop_assert_eq!(r, Err(PopTimedOut)),
+                        }
+                    }
+                }
+                _ => {
+                    q.close();
+                    closed = true;
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -500,6 +549,14 @@ mod invariant_props {
             ops in collection::vec(0u32..3, 1..=60),
         ) {
             apply_script(cap, &ops);
+        }
+
+        #[test]
+        fn flushes_match_the_model_and_report_full_only_with_leftovers(
+            cap in 0usize..=5,
+            ops in collection::vec((0u32..3, 0usize..=6), 1..=40),
+        ) {
+            apply_flush_script(cap, &ops);
         }
 
         #[test]

@@ -5,6 +5,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Test gates run under a watchdog (`timeout`, seconds) so a deadlocked
+# protocol fails its gate instead of stalling the whole script. The
+# limits are generous multiples of a debug-build run and include the
+# compile of the test binary.
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -17,11 +22,20 @@ cargo test -q
 echo "== differential conformance suite =="
 cargo test -q --test differential
 
-echo "== rayon shim (persistent pool: ordering, exactly-once, concurrent callers, nesting, panics) =="
-cargo test -q -p rayon
+echo "== rayon shim (persistent pool: ordering, exactly-once, concurrent callers, nesting, panics; seeded stress) =="
+timeout 600 cargo test -q -p rayon
 
 echo "== executor ISA differential property (AVX2 / portable tile kernels vs exact oracle) =="
 cargo test -q -p ctb-core --lib isa_kernels_match_reference_exact_bitwise
+
+echo "== crate unit tests (every library's own tests, each under the watchdog) =="
+for crate in ctb-serve ctb-core ctb-matrix ctb-tiling ctb-batching ctb-sim ctb-forest \
+    ctb-gpu-specs ctb-convnet ctb-baselines; do
+    echo "-- $crate --lib"
+    timeout 900 cargo test -q -p "$crate" --lib
+done
+echo "-- ctb-bench --lib (cluster_bench sweeps dominate)"
+timeout 1800 cargo test -q -p ctb-bench --lib
 
 echo "== concurrency suites (serve stress + planning determinism) =="
 cargo test -q -p ctb-serve --test stress
@@ -43,7 +57,7 @@ echo "== property regression corpus (pinned shrunk cases) =="
 cargo test -q --test properties regression_corpus_replays_recorded_cases
 
 echo "== cluster suite (multi-device routing + device-level chaos) =="
-cargo test -q -p ctb-cluster
+timeout 1200 cargo test -q -p ctb-cluster
 
 echo "== observability suite (event bus + trace audit + histogram props) =="
 cargo build --release -p ctb-obs
@@ -54,32 +68,35 @@ echo "== observability harness + BENCH_obs.json schema gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- obs
 
 echo "== cluster lockstep suite (event engine vs threaded, decision parity) =="
-cargo test -q -p ctb-cluster --test lockstep
+timeout 900 cargo test -q -p ctb-cluster --test lockstep
+
+echo "== scheduling core against a fake pool (spill-down, breaker slots, residency rollback, steal ties, reroute budget) =="
+timeout 600 cargo test -q -p ctb-cluster --lib core::tests
 
 echo "== event-engine golden fingerprints (simulated output + checkpoint hashes pinned) =="
-cargo test -q -p ctb-cluster --test golden
+timeout 900 cargo test -q -p ctb-cluster --test golden
 
 echo "== event-engine timeline differential property (vs reference BinaryHeap<(at, seq)>) =="
-cargo test -q -p ctb-cluster --lib timeline_matches_reference_heap_under_random_interleavings
+timeout 600 cargo test -q -p ctb-cluster --lib timeline_matches_reference_heap_under_random_interleavings
 
 echo "== event-engine device FIFO differential property (vs ctb_serve::BoundedQueue) =="
-cargo test -q -p ctb-cluster --lib device_queue_matches_bounded_queue
+timeout 600 cargo test -q -p ctb-cluster --lib device_queue_matches_bounded_queue
 
 echo "== event-engine placement index (one entry per live device, argmin = brute-force scan) =="
-cargo test -q -p ctb-cluster --lib placement_index_holds_exactly_the_live_devices_and_scans_to_the_argmin
-cargo test -q -p ctb-cluster --lib index_head_is_the_brute_force_minimum
+timeout 600 cargo test -q -p ctb-cluster --lib placement_index_holds_exactly_the_live_devices_and_scans_to_the_argmin
+timeout 600 cargo test -q -p ctb-cluster --lib index_head_is_the_brute_force_minimum
 
 echo "== savestate codec (versioned binary reader/writer) =="
 cargo test -q -p ctb-savestate
 
 echo "== savestate crash-point differential suite (checkpoint/restore replay) =="
-cargo test -q -p ctb-cluster --test savestate
+timeout 900 cargo test -q -p ctb-cluster --test savestate
 
 echo "== savestate regression corpus (pinned crash-boundary cases) =="
-cargo test -q -p ctb-cluster --test savestate regression_corpus_replays_recorded_boundary_cases
+timeout 900 cargo test -q -p ctb-cluster --test savestate regression_corpus_replays_recorded_boundary_cases
 
 echo "== differential locality suite (aware vs blind on multi-chiplet pools) =="
-cargo test -q -p ctb-cluster --test locality
+timeout 900 cargo test -q -p ctb-cluster --test locality
 
 echo "== locality differential smoke (aware vs blind traffic gate) + BENCH_locality schema gate =="
 cargo run -q -p ctb-bench --bin reproduce --release -- locality --smoke
